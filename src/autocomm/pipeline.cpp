@@ -6,10 +6,9 @@
 
 namespace autocomm::pass {
 
-CompileResult
-compile(const qir::Circuit& c, const hw::QubitMapping& map,
-        const hw::Machine& m, const CompileOptions& opts,
-        support::ThreadPool* pool)
+void
+validate_compile_inputs(const qir::Circuit& c, const hw::QubitMapping& map,
+                        const hw::Machine& m)
 {
     if (c.num_qubits() != map.num_qubits())
         support::fatal("compile: circuit has %d qubits, mapping %d",
@@ -18,12 +17,31 @@ compile(const qir::Circuit& c, const hw::QubitMapping& map,
     m.validate_routing();
     m.validate_noise();
     map.validate(m);
+}
 
-    CompileResult r;
+CompileResult
+compile(const qir::Circuit& c, const hw::QubitMapping& map,
+        const hw::Machine& m, const CompileOptions& opts,
+        support::ThreadPool* pool)
+{
+    validate_compile_inputs(c, map, m);
+    std::vector<CommBlock> blocks;
     {
         obs::Span span("aggregate");
-        r.blocks = aggregate(c, map, opts.aggregate, pool);
+        blocks = aggregate(c, map, opts.aggregate, pool);
     }
+    return compile_aggregated(c, map, m, std::move(blocks), opts);
+}
+
+CompileResult
+compile_aggregated(const qir::Circuit& c, const hw::QubitMapping& map,
+                   const hw::Machine& m, std::vector<CommBlock> blocks,
+                   const CompileOptions& opts)
+{
+    validate_compile_inputs(c, map, m);
+
+    CompileResult r;
+    r.blocks = std::move(blocks);
     {
         obs::Span span("assign");
         assign_schemes(c, r.blocks, opts.assign);

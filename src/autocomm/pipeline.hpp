@@ -67,4 +67,28 @@ CompileResult compile(const qir::Circuit& c, const hw::QubitMapping& map,
                       const hw::Machine& m, const CompileOptions& opts = {},
                       support::ThreadPool* pool = nullptr);
 
+/**
+ * The stages of compile() after aggregation: assign schemes to @p blocks,
+ * reorder, and schedule. @p blocks must be what aggregate() returned for
+ * @p c under @p map; opts.aggregate is not read. compile() is aggregate()
+ * followed by this call, so a caller compiling one (circuit, mapping)
+ * under several machines or assign/schedule options can aggregate once
+ * and pass each call its own copy of the blocks (assignment mutates
+ * them). Inputs are validated as in compile().
+ */
+CompileResult compile_aggregated(const qir::Circuit& c,
+                                 const hw::QubitMapping& map,
+                                 const hw::Machine& m,
+                                 std::vector<CommBlock> blocks,
+                                 const CompileOptions& opts = {});
+
+/**
+ * The input checks compile() runs before any pass: @p c and @p map agree
+ * on the qubit count, and @p m is well formed with @p map valid for it.
+ * Throws support::UserError otherwise.
+ */
+void validate_compile_inputs(const qir::Circuit& c,
+                             const hw::QubitMapping& map,
+                             const hw::Machine& m);
+
 } // namespace autocomm::pass

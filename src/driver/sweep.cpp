@@ -1,11 +1,13 @@
 #include "driver/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -263,10 +265,83 @@ machine_for(const circuits::BenchmarkSpec& spec, const std::string& shape,
     return m;
 }
 
-/** The compile half of run_cell, over prepared inputs. */
+hw::Machine
+machine_for(const SweepCell& cell)
+{
+    return machine_for(cell.spec, cell.shape, cell.topology,
+                       cell.link_fidelity, cell.target_fidelity,
+                       cell.link_bandwidth, cell.link_fidelity_overrides,
+                       cell.link_bandwidth_overrides);
+}
+
+/**
+ * Exact serialization of the machine fields a cell sets beyond its
+ * program and shape: topology, link noise, and both override lists.
+ * Values print as %.17g — override_spec's display form %g is not
+ * injective, so two different machines could share a key.
+ */
+std::string
+exact_machine_key(const SweepCell& cell)
+{
+    auto overrides = [](const std::vector<LinkValue>& list) {
+        std::string out;
+        for (const LinkValue& o : list)
+            out += support::strprintf("%d-%d:%.17g,", o.a, o.b, o.value);
+        return out;
+    };
+    return support::strprintf(
+        "%s|%.17g|%.17g|%d|%s|%s", hw::topology_name(cell.topology),
+        cell.link_fidelity, cell.target_fidelity, cell.link_bandwidth,
+        overrides(cell.link_fidelity_overrides).c_str(),
+        overrides(cell.link_bandwidth_overrides).c_str());
+}
+
+/** The two numbers relative_factors reads from a Ferrari compile, or the
+ * exception that compile threw. */
+struct FerrariBaseline
+{
+    std::size_t total_comms = 0;
+    double makespan = 0.0;
+    std::exception_ptr error;
+};
+
+FerrariBaseline
+ferrari_baseline(const qir::Circuit& circuit,
+                 const hw::QubitMapping& mapping, const hw::Machine& machine)
+{
+    FerrariBaseline b;
+    try {
+        const pass::CompileResult r =
+            baseline::compile_ferrari(circuit, mapping, machine);
+        b.total_comms = r.metrics.total_comms;
+        b.makespan = r.schedule.makespan;
+    } catch (...) {
+        b.error = std::current_exception();
+    }
+    return b;
+}
+
+/**
+ * Work a sweep computes once and hands to every cell that shares it. An
+ * empty member means the cell computes that piece itself, as run_cell
+ * does. Errors are carried, not thrown, so each cell raises them at the
+ * point run_cell would: after its own machine checks.
+ */
+struct SharedWork
+{
+    /** aggregate() output for the cell's (mapping, aggregate options). */
+    std::shared_ptr<const std::vector<pass::CommBlock>> blocks;
+    /** What aggregate() threw instead, if anything. */
+    std::exception_ptr aggregate_error;
+    /** The Ferrari baseline of the cell's (mapping, machine). */
+    const FerrariBaseline* ferrari = nullptr;
+};
+
+/** The compile half of run_cell, over prepared inputs. Drops its
+ * reference to @p shared.blocks once it holds its own copy. */
 SweepRow
 run_cell_prepared(const SweepCell& cell, const qir::Circuit& circuit,
-                  const hw::QubitMapping& mapping)
+                  const hw::QubitMapping& mapping, SharedWork& shared)
 {
     using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
@@ -275,11 +350,7 @@ run_cell_prepared(const SweepCell& cell, const qir::Circuit& circuit,
     row.cell = cell;
 
     support::inform("compiling %s...", cell.label().c_str());
-    const hw::Machine machine =
-        machine_for(cell.spec, cell.shape, cell.topology,
-                    cell.link_fidelity, cell.target_fidelity,
-                    cell.link_bandwidth, cell.link_fidelity_overrides,
-                    cell.link_bandwidth_overrides);
+    const hw::Machine machine = machine_for(cell);
     mapping.validate(machine);
 
     row.stats = circuit.stats();
@@ -292,15 +363,32 @@ run_cell_prepared(const SweepCell& cell, const qir::Circuit& circuit,
         return row;
     }
 
-    const pass::CompileResult compiled =
-        pass::compile(circuit, mapping, machine, cell.options.opts);
+    pass::CompileResult compiled;
+    if (shared.aggregate_error) {
+        // compile() checks its inputs before aggregating.
+        pass::validate_compile_inputs(circuit, mapping, machine);
+        std::rethrow_exception(shared.aggregate_error);
+    } else if (shared.blocks) {
+        std::vector<pass::CommBlock> blocks = *shared.blocks;
+        shared.blocks.reset();
+        compiled = pass::compile_aggregated(circuit, mapping, machine,
+                                            std::move(blocks),
+                                            cell.options.opts);
+    } else {
+        compiled =
+            pass::compile(circuit, mapping, machine, cell.options.opts);
+    }
     row.metrics = compiled.metrics;
     row.schedule = compiled.schedule;
 
     if (cell.with_baseline) {
-        const pass::CompileResult ferrari =
-            baseline::compile_ferrari(circuit, mapping, machine);
-        row.factors = baseline::relative_factors(ferrari, compiled);
+        const FerrariBaseline ferrari =
+            shared.ferrari ? *shared.ferrari
+                           : ferrari_baseline(circuit, mapping, machine);
+        if (ferrari.error)
+            std::rethrow_exception(ferrari.error);
+        row.factors = baseline::relative_factors(
+            ferrari.total_comms, ferrari.makespan, compiled);
     }
 
     if (cell.with_gptp) {
@@ -359,7 +447,8 @@ run_cell(const SweepCell& cell)
                      cell.link_fidelity, cell.target_fidelity,
                      cell.link_bandwidth, cell.link_fidelity_overrides,
                      cell.link_bandwidth_overrides, cell.partitioner);
-    return run_cell_prepared(cell, p.circuit, p.mapping);
+    SharedWork own;
+    return run_cell_prepared(cell, p.circuit, p.mapping, own);
 }
 
 std::vector<SweepRow>
@@ -402,16 +491,22 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
     // served as a permanent error on every later run.
     std::vector<char> transient(cells.size(), 0);
 
-    // ---- Group cells by shared preparation work ----
+    // ---- Group cells by shared work ----
     // Cells differing only in topology, noise, or option set share the
     // generated circuit, its interaction graph, AND — under OEE, which
     // sees only the circuit and the node capacities — the qubit mapping;
     // cells differing only in machine shape still share the circuit and
     // graph. A topology/fidelity-aware partitioner reads the machine's
     // routing table and link model, so its mapping groups additionally
-    // split on the topology and noise axes (see mapping_key below).
-    // Memoizing both levels turns an A-axis ablation grid's preparation
-    // cost from O(cells) into O(distinct machines).
+    // split on the topology and noise axes (see mkey below).
+    //
+    // Within a mapping group, aggregation reads only the circuit, the
+    // mapping, and the aggregate options, so cells sharing those share
+    // one aggregate() call (the default, catonly, noprefetch, and
+    // nofusion arms all do). The Ferrari baseline reads the circuit,
+    // the mapping, and the machine, so cells sharing those share one
+    // baseline compile. Memoizing every level turns an ablation grid's
+    // shared work from O(cells) into O(distinct inputs).
     struct Program
     {
         qir::Circuit circuit;
@@ -431,15 +526,31 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         std::string error;
         bool transient_error = false;
     };
+    /** One aggregate() or Ferrari compile, shared by the cells listed in
+     * cells_of_aggregate / cells_of_baseline. */
+    struct Group
+    {
+        std::size_t mapping = 0;
+        /** Exemplar cell: its aggregate options, or its machine recipe. */
+        const SweepCell* cell = nullptr;
+    };
 
     std::map<std::string, std::size_t> program_index;
     std::map<std::string, std::size_t> mapping_index;
+    std::map<std::string, std::size_t> aggregate_index;
+    std::map<std::string, std::size_t> baseline_index;
     std::vector<Program> programs;
     std::vector<Mapping> mappings;
+    std::vector<Group> aggregates;
+    std::vector<Group> baselines;
     std::vector<const SweepCell*> program_cell; // exemplar per program
     // Cell -> mapping group; SIZE_MAX marks rows already failed
     // geometry validation.
     std::vector<std::size_t> cell_mapping(cells.size(), SIZE_MAX);
+    std::vector<std::vector<std::size_t>> cells_of_aggregate;
+    std::vector<std::vector<std::size_t>> cells_of_baseline;
+    // Shared stages each cell still waits for before it can start.
+    std::vector<std::atomic<int>> pending(cells.size());
 
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const SweepCell& cell = cells[i];
@@ -475,29 +586,14 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         }
 
         // OEE reads only the capacities, so its groups deliberately span
-        // the topology and noise axes (exactly the PR-4 behavior). The
-        // multilevel partitioners read the machine's routing table and
-        // link fidelities, so their groups must split on everything the
-        // derived machine depends on; values are serialized exactly
-        // (%.17g) — the display form %g is not injective.
+        // the topology and noise axes. The multilevel partitioners read
+        // the machine's routing table and link fidelities, so their
+        // groups must split on everything the derived machine depends on.
         std::string mkey = support::strprintf(
             "%s|%s|%s", pkey.c_str(), cell.shape.c_str(),
             partition::mapper_name(cell.partitioner));
-        if (cell.partitioner != partition::Mapper::Oee) {
-            auto exact_overrides = [](const std::vector<LinkValue>& list) {
-                std::string out;
-                for (const LinkValue& o : list)
-                    out += support::strprintf("%d-%d:%.17g,", o.a, o.b,
-                                              o.value);
-                return out;
-            };
-            mkey += support::strprintf(
-                "|%s|%.17g|%.17g|%d|%s|%s",
-                hw::topology_name(cell.topology), cell.link_fidelity,
-                cell.target_fidelity, cell.link_bandwidth,
-                exact_overrides(cell.link_fidelity_overrides).c_str(),
-                exact_overrides(cell.link_bandwidth_overrides).c_str());
-        }
+        if (cell.partitioner != partition::Mapper::Oee)
+            mkey += "|" + exact_machine_key(cell);
         auto [mit, mnew] = mapping_index.emplace(mkey, mappings.size());
         if (mnew) {
             Mapping mp;
@@ -512,15 +608,41 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
                     : hw::parse_shape(cell.shape);
             mappings.push_back(std::move(mp));
         }
-        cell_mapping[i] = mit->second;
+        const std::size_t m = mit->second;
+        cell_mapping[i] = m;
+        if (cell.stats_only)
+            continue; // counts only: no aggregation, no baseline
+
+        auto join = [&](std::map<std::string, std::size_t>& index,
+                        std::vector<Group>& groups,
+                        std::vector<std::vector<std::size_t>>& members,
+                        const std::string& key) {
+            auto [it, fresh] = index.emplace(key, groups.size());
+            if (fresh) {
+                groups.push_back(Group{m, &cell});
+                members.emplace_back();
+            }
+            members[it->second].push_back(i);
+            ++pending[i];
+        };
+        const pass::AggregateOptions& agg = cell.options.opts.aggregate;
+        join(aggregate_index, aggregates, cells_of_aggregate,
+             support::strprintf("%zu|%d|%d|%d", m,
+                                agg.use_commutation ? 1 : 0,
+                                agg.absorb_local_gates ? 1 : 0,
+                                agg.comm_capacity));
+        if (cell.with_baseline)
+            join(baseline_index, baselines, cells_of_baseline,
+                 support::strprintf("%zu|", m) + exact_machine_key(cell));
     }
 
     support::ThreadPool pool(opts.num_threads);
 
-    // ---- Stage pipeline over the preparation DAG ----
-    // program -> its mapping groups -> their cells, with no barrier
-    // between stages: a cell starts compiling the moment its own mapping
-    // is ready, while unrelated programs are still decomposing and other
+    // ---- Stage pipeline over the shared-work DAG ----
+    // program -> its mapping groups -> their aggregation and baseline
+    // groups -> their cells, with no barrier between stages: a cell
+    // starts compiling the moment the last shared stage it needs is
+    // done, while unrelated programs are still decomposing and other
     // groups are still partitioning. Warm cache-hit cells never enter
     // the pipeline at all (cell_mapping stays SIZE_MAX). Rows are
     // written by index, so the output order is the cell order no matter
@@ -534,11 +656,23 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
     for (std::size_t i = 0; i < cells.size(); ++i)
         if (cell_mapping[i] != SIZE_MAX)
             cells_of_mapping[cell_mapping[i]].push_back(i);
+    std::vector<std::vector<std::size_t>> aggregates_of_mapping(
+        mappings.size());
+    for (std::size_t g = 0; g < aggregates.size(); ++g)
+        aggregates_of_mapping[aggregates[g].mapping].push_back(g);
+    std::vector<std::vector<std::size_t>> baselines_of_mapping(
+        mappings.size());
+    for (std::size_t g = 0; g < baselines.size(); ++g)
+        baselines_of_mapping[baselines[g].mapping].push_back(g);
+
+    std::vector<SharedWork> shared(cells.size());
+    std::vector<FerrariBaseline> ferrari(baselines.size());
 
     // Completion tracking for dynamically submitted continuations, plus
     // per-slot exception capture so rethrow_errors callers get the same
     // deterministic exception the barrier phases would have thrown: the
-    // lowest-index failure of the earliest failing stage.
+    // lowest-index failure of the earliest failing stage. (Aggregation
+    // and baseline failures surface through their cells, as in run_cell.)
     std::mutex pipe_mu;
     std::condition_variable pipe_done;
     std::size_t outstanding = 0;
@@ -566,25 +700,27 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         });
     };
 
-    // Stage 3: compile one cell against its memoized preparation.
+    // Stage 4: compile one cell against its memoized shared work.
     auto cell_stage = [&](std::size_t i) {
         const Mapping& mp = mappings[cell_mapping[i]];
         // Everything this cell records — pass spans, EPR counters,
         // cache traffic — attributes to its label in the stats JSON's
-        // `cells` section. The memoized prepare stages above stay
-        // unscoped on purpose: their work is shared across cells.
+        // `cells` section. The memoized stages before it stay unscoped
+        // on purpose: their work is shared across cells.
         obs::CellScope scope(cells[i].label());
         obs::count("pipeline.cells_started");
         obs::Span span("cell", cells[i].label());
         try {
-            if (!mp.error.empty()) {
+            if (!mp.map) {
                 transient[i] = mp.transient_error;
                 throw support::UserError(mp.error);
             }
             rows[i] = run_cell_prepared(
-                cells[i], programs[mp.program].circuit, *mp.map);
+                cells[i], programs[mp.program].circuit, *mp.map, shared[i]);
             obs::count("pipeline.cells_completed");
         } catch (const std::exception& e) {
+            // A cell that threw before copying its blocks still lets go.
+            shared[i].blocks.reset();
             if (opts.rethrow_errors) {
                 cexc[i] = std::current_exception();
                 return;
@@ -597,17 +733,61 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         }
     };
 
+    // A shared stage finished for cell i; the last one starts the cell.
+    auto release = [&](std::size_t i) {
+        if (pending[i].fetch_sub(1, std::memory_order_acq_rel) == 1)
+            launch([&, i]() { cell_stage(i); });
+    };
+
+    // Stage 3a: aggregate once for every cell of the group. Never
+    // throws: the error travels to the cells.
+    auto aggregate_stage = [&](std::size_t g) {
+        const Group& grp = aggregates[g];
+        const Mapping& mp = mappings[grp.mapping];
+        const qir::Circuit& circuit = programs[mp.program].circuit;
+        std::shared_ptr<const std::vector<pass::CommBlock>> blocks;
+        std::exception_ptr error;
+        try {
+            obs::Span span("aggregate", grp.cell->spec.label());
+            blocks = std::make_shared<const std::vector<pass::CommBlock>>(
+                pass::aggregate(circuit, *mp.map,
+                                grp.cell->options.opts.aggregate));
+        } catch (...) {
+            error = std::current_exception();
+        }
+        for (std::size_t i : cells_of_aggregate[g]) {
+            shared[i].blocks = blocks;
+            shared[i].aggregate_error = error;
+            release(i);
+        }
+    };
+
+    // Stage 3b: the Ferrari baseline once for every cell of the group,
+    // on the exemplar cell's machine. Never throws, like stage 3a.
+    auto baseline_stage = [&](std::size_t g) {
+        const Group& grp = baselines[g];
+        const Mapping& mp = mappings[grp.mapping];
+        try {
+            ferrari[g] = ferrari_baseline(programs[mp.program].circuit,
+                                          *mp.map, machine_for(*grp.cell));
+        } catch (...) {
+            ferrari[g].error = std::current_exception();
+        }
+        for (std::size_t i : cells_of_baseline[g]) {
+            shared[i].ferrari = &ferrari[g];
+            release(i);
+        }
+    };
+
     // Stage 2: partition one mapping group. OEE sees only the
     // capacities; the multilevel partitioners derive the group's machine
     // (routing table + link model) from its exemplar cell.
     auto mapping_stage = [&](std::size_t m) {
         Mapping& mp = mappings[m];
         const Program& prog = programs[mp.program];
-        bool ready = false;
         if (!prog.error.empty()) {
             mp.error = prog.error;
             mp.transient_error = prog.transient_error;
-            ready = true; // cells report the recorded error per row
         } else {
             try {
                 obs::Span span("partition", mp.cell->label());
@@ -615,29 +795,30 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
                     mp.map = hw::QubitMapping(partition::oee_partition(
                         *prog.graph, mp.capacities));
                 } else {
-                    const hw::Machine machine = machine_for(
-                        mp.cell->spec, mp.cell->shape, mp.cell->topology,
-                        mp.cell->link_fidelity, mp.cell->target_fidelity,
-                        mp.cell->link_bandwidth,
-                        mp.cell->link_fidelity_overrides,
-                        mp.cell->link_bandwidth_overrides);
                     mp.map = partition::map_with(mp.cell->partitioner,
-                                                 *prog.graph, machine);
+                                                 *prog.graph,
+                                                 machine_for(*mp.cell));
                 }
-                ready = true;
             } catch (const std::exception& e) {
                 if (opts.rethrow_errors) {
                     mexc[m] = std::current_exception();
-                } else {
-                    mp.error = e.what();
-                    mp.transient_error = is_transient(e);
-                    ready = true;
+                    return;
                 }
+                mp.error = e.what();
+                mp.transient_error = is_transient(e);
             }
         }
-        if (ready)
-            for (std::size_t i : cells_of_mapping[m])
+        // Without a mapping, cells report the recorded error per row and
+        // nothing shared is left to compute for them.
+        for (std::size_t i : cells_of_mapping[m])
+            if (!mp.map || pending[i].load(std::memory_order_relaxed) == 0)
                 launch([&, i]() { cell_stage(i); });
+        if (!mp.map)
+            return;
+        for (std::size_t g : aggregates_of_mapping[m])
+            launch([&, g]() { aggregate_stage(g); });
+        for (std::size_t g : baselines_of_mapping[m])
+            launch([&, g]() { baseline_stage(g); });
     };
 
     // Stage 1: generate + decompose one distinct program, build its

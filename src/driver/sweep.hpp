@@ -202,8 +202,12 @@ struct SweepRow
     /** GP-TP-relative factors, when cell.with_gptp (Fig. 16). */
     std::optional<baseline::RelativeFactors> gptp_factors;
 
-    /** Wall-clock compile time. Timing is reported by the CLI but kept
-     * out of sweep_csv() so CSV output stays run-to-run deterministic. */
+    /** Wall-clock time of the cell's own work: machine derivation,
+     * assign/reorder/schedule, and GP-TP. Work run_sweep shares between
+     * cells (decompose, graph, partition, aggregation, the Ferrari
+     * baseline) is excluded; run_cell's figure still includes its
+     * aggregation and baseline. Reported by the CLI but kept out of
+     * sweep_csv() so CSV output stays run-to-run deterministic. */
     double compile_seconds = 0.0;
 };
 
@@ -235,10 +239,18 @@ SweepRow run_cell(const SweepCell& cell);
  * throws yields a row with ok == false and the exception text in
  * `error` (unless opts.rethrow_errors).
  *
- * Circuit generation, interaction-graph construction, and the OEE
- * mapping are memoized across cells that share them (option-set,
- * topology, and noise axes re-partition nothing), so wide ablation
- * grids prepare each (family, qubits, seed, shape) once.
+ * Work shared between cells runs once, as a stage pipeline with no
+ * barriers: program (generate, decompose, interaction graph) -> mapping
+ * (partition) -> aggregation per (mapping, AggregateOptions) and the
+ * Ferrari baseline per (mapping, exact machine) -> the cells. Under OEE
+ * the option-set, topology, and noise axes re-partition nothing, and
+ * the default/catonly/noprefetch/nofusion arms share one aggregate()
+ * call. Each cell assigns, reorders, and schedules its own copy of the
+ * blocks; a group's blocks are freed once its last cell holds its copy.
+ * Rows, error text, and rethrow_errors behave exactly as a run_cell
+ * per cell would: a shared stage's failure surfaces in each of its
+ * cells after that cell's own machine checks. Cells served from
+ * opts.store skip every stage.
  */
 std::vector<SweepRow> run_sweep(const std::vector<SweepCell>& cells,
                                 const SweepOptions& opts = {});

@@ -12,8 +12,8 @@ namespace {
 
 /**
  * Incrementally maintained connectivity table: conn[q][p] = total edge
- * weight between qubit q and partition p. Makes pairwise exchange gains
- * O(1) and per-swap updates O(deg).
+ * weight between qubit q and partition p. Makes per-swap updates O(deg);
+ * the exchange scan in oee_refine makes each pairwise gain O(1) on top.
  */
 class ConnTable
 {
@@ -35,25 +35,6 @@ class ConnTable
         return conn_[static_cast<std::size_t>(q) *
                          static_cast<std::size_t>(parts_) +
                      static_cast<std::size_t>(p)];
-    }
-
-    long at(QubitId q, NodeId p) const
-    {
-        return conn_[static_cast<std::size_t>(q) *
-                         static_cast<std::size_t>(parts_) +
-                     static_cast<std::size_t>(p)];
-    }
-
-    /** Gain (cut decrease) of swapping partitions of a and b. */
-    long
-    swap_gain(const std::vector<NodeId>& part, QubitId a, QubitId b) const
-    {
-        const NodeId pa = part[static_cast<std::size_t>(a)];
-        const NodeId pb = part[static_cast<std::size_t>(b)];
-        // The direct a-b edge stays cut after the swap; it appears in both
-        // D terms and must be subtracted twice.
-        return at(a, pb) - at(a, pa) + at(b, pa) - at(b, pb) -
-               2 * g_.weight(a, b);
     }
 
     /** Record that qubit @p q moved from partition @p from to @p to. */
@@ -132,6 +113,12 @@ oee_refine(const InteractionGraph& g, std::vector<NodeId> part,
             ? opts.max_exchanges_per_pass
             : std::min(std::max(1, n / 2), 64);
 
+    // Scratch for the exchange scan: each qubit's edge weight into its
+    // own part, and the current `a`'s edge weights by neighbor (all zero
+    // between uses).
+    std::vector<long> internal(static_cast<std::size_t>(n));
+    std::vector<long> weight_to_a(static_cast<std::size_t>(n), 0);
+
     for (int pass = 0; pass < opts.max_passes; ++pass) {
         std::vector<NodeId> work = part;
         ConnTable conn(g, work, num_nodes);
@@ -141,24 +128,43 @@ oee_refine(const InteractionGraph& g, std::vector<NodeId> part,
         long running = 0;
 
         for (int step = 0; step < per_pass; ++step) {
+            // The gain of swapping a and b (cut decrease) is
+            //   conn(a, pb) - conn(a, pa) + conn(b, pa) - conn(b, pb)
+            //   - 2 w(a, b):
+            // the direct a-b edge stays cut after the swap and appears in
+            // both D terms. Each qubit's own-part term is fixed for the
+            // step, and a's edge weights are scattered into a dense row,
+            // so every candidate pair costs O(1).
+            for (QubitId q = 0; q < n; ++q)
+                internal[static_cast<std::size_t>(q)] =
+                    conn.at(q, work[static_cast<std::size_t>(q)]);
             long best_gain = std::numeric_limits<long>::min();
             QubitId best_a = kInvalidId, best_b = kInvalidId;
             for (QubitId a = 0; a < n; ++a) {
                 if (locked[static_cast<std::size_t>(a)])
                     continue;
+                const NodeId pa = work[static_cast<std::size_t>(a)];
+                const long a_internal = internal[static_cast<std::size_t>(a)];
+                for (const auto& [v, w] : g.neighbors(a))
+                    weight_to_a[static_cast<std::size_t>(v)] = w;
                 for (QubitId b = a + 1; b < n; ++b) {
                     if (locked[static_cast<std::size_t>(b)])
                         continue;
-                    if (work[static_cast<std::size_t>(a)] ==
-                        work[static_cast<std::size_t>(b)])
+                    const NodeId pb = work[static_cast<std::size_t>(b)];
+                    if (pa == pb)
                         continue;
-                    const long gain = conn.swap_gain(work, a, b);
+                    const long gain =
+                        conn.at(a, pb) - a_internal + conn.at(b, pa) -
+                        internal[static_cast<std::size_t>(b)] -
+                        2 * weight_to_a[static_cast<std::size_t>(b)];
                     if (gain > best_gain) {
                         best_gain = gain;
                         best_a = a;
                         best_b = b;
                     }
                 }
+                for (const auto& edge : g.neighbors(a))
+                    weight_to_a[static_cast<std::size_t>(edge.first)] = 0;
             }
             if (best_a == kInvalidId)
                 break; // nothing left to exchange

@@ -11,7 +11,9 @@
  *    while the per-verdict counts stay exact (counter-backed);
  *  - per-cell decision counts are identical at any sweep thread count
  *    for the deterministic categories (everything except the
- *    speculation-only aggregate.spec / aggregate.merge "rescore");
+ *    speculation-only aggregate.spec / aggregate.merge "rescore"), and
+ *    so are the global aggregation counts (aggregation runs once per
+ *    shared group, outside any cell scope);
  *  - one pinned-payload test per instrumented layer: aggregation
  *    (burst accept), scheduler (scheme choice + purification rounds),
  *    multilevel (FM apply with its gain), routing (max-fidelity vs BFS
@@ -368,8 +370,12 @@ TEST(DecisionDeterminism, PerCellCountsIdenticalAcrossThreadCounts)
     grid.link_fidelity_overrides = {{0, 1, 0.93}};
     const std::vector<driver::SweepCell> cells = grid.cells();
 
-    using CellCounts =
-        std::map<std::string, std::map<std::string, std::uint64_t>>;
+    using Counts = std::map<std::string, std::uint64_t>;
+    struct Recorded
+    {
+        std::map<std::string, Counts> cells; ///< scope -> counter -> n
+        Counts aggregate;                    ///< global aggregate.*
+    };
     auto run = [&](std::size_t threads) {
         reset_obs(true);
         obs::set_ring_capacity(4096); // counts must survive rotation
@@ -379,32 +385,39 @@ TEST(DecisionDeterminism, PerCellCountsIdenticalAcrossThreadCounts)
         obs::set_enabled(false);
         obs::set_ring_capacity(0);
         const obs::Registry& reg = obs::Registry::instance();
-        CellCounts out;
+        Recorded out;
         for (const std::string& scope : reg.scope_names())
             for (const std::string& name :
                  reg.scoped_counter_names(scope))
                 if (name.rfind("decision.", 0) == 0 &&
                     !thread_dependent(name))
-                    out[scope][name] =
+                    out.cells[scope][name] =
                         reg.find_scoped_counter(scope, name)->value();
+        // Aggregation is a shared sweep stage, so its decisions carry
+        // no cell scope; compare them through the global counters.
+        for (const std::string& name : reg.counter_names())
+            if (name.rfind("decision.aggregate.", 0) == 0 &&
+                !thread_dependent(name))
+                out.aggregate[name] = reg.find_counter(name)->value();
         return out;
     };
 
-    const CellCounts serial = run(1);
-    const CellCounts parallel = run(8);
+    const Recorded serial = run(1);
+    const Recorded parallel = run(8);
 
-    ASSERT_EQ(serial.size(), cells.size());
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (const auto& [scope, counts] : serial) {
-        const auto it = parallel.find(scope);
-        ASSERT_NE(it, parallel.end()) << scope;
+    ASSERT_EQ(serial.cells.size(), cells.size());
+    ASSERT_EQ(parallel.cells.size(), serial.cells.size());
+    for (const auto& [scope, counts] : serial.cells) {
+        const auto it = parallel.cells.find(scope);
+        ASSERT_NE(it, parallel.cells.end()) << scope;
         EXPECT_EQ(counts, it->second) << scope;
     }
+    EXPECT_EQ(serial.aggregate, parallel.aggregate);
 
     // The noisy overridden-link grid must actually exercise the
     // decision-heavy paths this test pins (not vacuous equality).
     std::uint64_t purify = 0, scheme = 0, route = 0, burst = 0;
-    for (const auto& [scope, counts] : serial)
+    for (const auto& [scope, counts] : serial.cells)
         for (const auto& [name, value] : counts) {
             if (name.rfind("decision.schedule.purify.", 0) == 0)
                 purify += value;
@@ -412,9 +425,10 @@ TEST(DecisionDeterminism, PerCellCountsIdenticalAcrossThreadCounts)
                 scheme += value;
             if (name.rfind("decision.route.path.", 0) == 0)
                 route += value;
-            if (name.rfind("decision.aggregate.burst.", 0) == 0)
-                burst += value;
         }
+    for (const auto& [name, value] : serial.aggregate)
+        if (name.rfind("decision.aggregate.burst.", 0) == 0)
+            burst += value;
     EXPECT_GT(purify, 0u);
     EXPECT_GT(scheme, 0u);
     EXPECT_GT(route, 0u);

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "driver/sweep.hpp"
+#include "obs/registry.hpp"
+#include "obs/trace.hpp"
 #include "support/log.hpp"
 
 namespace {
@@ -419,32 +422,83 @@ TEST(Sweep, CsvReportsNoiseColumnsAndValues)
 
 TEST(Sweep, MemoizedSweepMatchesDirectRunCell)
 {
-    // run_sweep memoizes circuits, interaction graphs, and OEE mappings
-    // across cells; every row must still equal an uncached run_cell.
+    // run_sweep memoizes circuits, interaction graphs, OEE mappings,
+    // aggregation (per mapping and aggregate options), and the Ferrari
+    // baseline (per mapping and machine) across cells. Its CSV must
+    // still equal one built from uncached run_cell rows, byte for byte,
+    // at any thread count, error rows included.
     SweepGrid grid;
     grid.families = {circuits::Family::QFT, circuits::Family::BV};
     grid.qubit_counts = {12};
-    grid.node_counts = {3};
+    grid.node_counts = {4};
     grid.topologies = {hw::Topology::AllToAll, hw::Topology::Ring};
-    grid.link_fidelities = {1.0, 0.95};
+    grid.link_fidelities = {0.95};
     grid.target_fidelities = {0.97};
-    grid.option_sets = {driver::OptionSet{},
-                        *driver::find_option_set("sparse")};
-    const std::vector<SweepCell> cells = grid.cells();
-    ASSERT_EQ(cells.size(), 16u);
+    grid.option_sets = driver::builtin_option_sets();
+    grid.with_baseline = true;
+    std::vector<SweepCell> cells = grid.cells();
+    ASSERT_EQ(cells.size(), 20u);
+    // 0-2 is not a link of the 4-node ring, so this cell is a
+    // deterministic error row that shares its program, mapping, and
+    // aggregation groups with healthy cells.
+    SweepCell bad = cells[5];
+    ASSERT_EQ(bad.label(), "QFT-12-4+ring~f0.95~t0.97/default");
+    bad.link_fidelity_overrides = {{0, 2, 0.9}};
+    cells.push_back(bad);
 
-    const std::vector<SweepRow> rows = driver::run_sweep(cells, {});
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const SweepRow direct = driver::run_cell(cells[i]);
-        SCOPED_TRACE(cells[i].label());
-        ASSERT_EQ(rows[i].ok, direct.ok);
-        EXPECT_EQ(rows[i].metrics.total_comms, direct.metrics.total_comms);
-        EXPECT_EQ(rows[i].remote_cx, direct.remote_cx);
-        EXPECT_DOUBLE_EQ(rows[i].schedule.makespan,
-                         direct.schedule.makespan);
-        EXPECT_EQ(rows[i].schedule.epr_raw_pairs,
-                  direct.schedule.epr_raw_pairs);
+    std::vector<SweepRow> direct;
+    for (const SweepCell& cell : cells) {
+        try {
+            direct.push_back(driver::run_cell(cell));
+        } catch (const std::exception& e) {
+            SweepRow row;
+            row.cell = cell;
+            row.error = e.what();
+            direct.push_back(std::move(row));
+        }
     }
+    ASSERT_FALSE(direct.back().ok);
+    const std::string expected = driver::sweep_csv(direct).to_string();
+
+    for (std::size_t threads : {1u, 8u}) {
+        SweepOptions opts;
+        opts.num_threads = threads;
+        EXPECT_EQ(driver::sweep_csv(driver::run_sweep(cells, opts))
+                      .to_string(),
+                  expected)
+            << threads << " threads";
+    }
+
+    // With stats on, aggregation runs once per distinct (program,
+    // aggregate options) and once inside each distinct (program,
+    // machine)'s Ferrari compile. The bad cell's machine never builds,
+    // so it compiles no baseline.
+    std::set<std::string> aggregations, baselines;
+    for (const SweepRow& r : direct) {
+        aggregations.insert(
+            r.cell.spec.label() +
+            (r.cell.options.opts.aggregate.use_commutation ? "" : "/sc"));
+        if (r.ok)
+            baselines.insert(r.cell.spec.label() + "+" +
+                             hw::topology_name(r.cell.topology));
+    }
+    ASSERT_EQ(aggregations.size(), 4u);
+    ASSERT_EQ(baselines.size(), 4u);
+    obs::set_enabled(true);
+    obs::reset();
+    obs::Registry::instance().reset();
+    SweepOptions opts;
+    opts.num_threads = 8;
+    const std::string traced =
+        driver::sweep_csv(driver::run_sweep(cells, opts)).to_string();
+    obs::set_enabled(false);
+    EXPECT_EQ(traced, expected);
+    const obs::Histogram* spans =
+        obs::Registry::instance().find_histogram("aggregate");
+    ASSERT_NE(spans, nullptr);
+    EXPECT_EQ(spans->count(), aggregations.size() + baselines.size());
+    obs::reset();
+    obs::Registry::instance().reset();
 }
 
 // ------------------------------------------------- CLI axis-list parsing
