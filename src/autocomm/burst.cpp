@@ -54,67 +54,63 @@ CommBlock::to_string(const qir::Circuit& c) const
     return s;
 }
 
-std::vector<BodyItem>
-block_body(const qir::Circuit& c, const std::vector<CommBlock>& blocks,
-           std::size_t b)
-{
-    const CommBlock& blk = blocks[b];
-    // Merge own gates (members + absorbed) with child units, keyed by
-    // window position. A gate falling inside a child's window commutes
-    // with that child (aggregation guarantees it) and sorts before the
-    // child unit.
-    struct Keyed
-    {
-        std::size_t key;
-        int tie; // 0 = gate, 1 = child (children after same-key gates)
-        BodyItem item;
-    };
-    std::vector<Keyed> keyed;
-
-    auto child_key_of = [&](std::size_t gate_idx) {
-        for (std::size_t ch : blk.children) {
-            const CommBlock& cb = blocks[ch];
-            if (gate_idx >= cb.window_begin() && gate_idx <= cb.window_end())
-                return cb.window_begin();
-        }
-        return gate_idx;
-    };
-
-    for (std::size_t i : blk.members)
-        keyed.push_back({child_key_of(i), 0, {false, i, true}});
-    for (std::size_t i : blk.absorbed)
-        keyed.push_back({child_key_of(i), 0, {false, i, false}});
-    for (std::size_t ch : blk.children)
-        keyed.push_back(
-            {blocks[ch].window_begin(), 1, {true, ch, false}});
-
-    std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b2) {
-        if (a.key != b2.key)
-            return a.key < b2.key;
-        if (a.tie != b2.tie)
-            return a.tie < b2.tie;
-        return a.item.index < b2.item.index;
-    });
-
-    std::vector<BodyItem> out;
-    out.reserve(keyed.size());
-    for (const Keyed& k : keyed)
-        out.push_back(k.item);
-    (void)c;
-    return out;
-}
-
-std::size_t
-block_total_gates(const std::vector<CommBlock>& blocks, std::size_t b)
-{
-    const CommBlock& blk = blocks[b];
-    std::size_t n = blk.members.size() + blk.absorbed.size();
-    for (std::size_t ch : blk.children)
-        n += block_total_gates(blocks, ch);
-    return n;
-}
-
 namespace {
+
+/**
+ * Visit block @p blk's body items in order, in one pass over its gates in
+ * ascending index order. A gate is keyed by the window_begin of the first
+ * child whose window has not ended before it, when that window contains
+ * it, and by its own index otherwise; the keys never decrease, and each
+ * child follows the gates that share its key. Gate items carry original
+ * circuit indices.
+ */
+template <typename Visit>
+void
+for_each_item(const std::vector<CommBlock>& blocks, const CommBlock& blk,
+              Visit&& visit)
+{
+    const std::vector<std::size_t>& mem = blk.members;
+    const std::vector<std::size_t>& abd = blk.absorbed;
+    const std::vector<std::size_t>& ch = blk.children;
+    std::size_t mi = 0, ai = 0;
+    std::size_t open = 0; // first child whose window may still hold a gate
+    std::size_t next = 0; // first child not yet visited
+    while (mi < mem.size() || ai < abd.size()) {
+        const bool member =
+            ai == abd.size() || (mi < mem.size() && mem[mi] < abd[ai]);
+        const std::size_t g = member ? mem[mi++] : abd[ai++];
+        while (open < ch.size() && blocks[ch[open]].window_end() < g)
+            ++open;
+        std::size_t key = g;
+        if (open < ch.size() && blocks[ch[open]].window_begin() <= g)
+            key = blocks[ch[open]].window_begin();
+        while (next < ch.size() && blocks[ch[next]].window_begin() < key)
+            visit(BodyItem{.index = ch[next++], .is_child = true});
+        visit(BodyItem{.index = g, .is_member = member});
+    }
+    while (next < ch.size())
+        visit(BodyItem{.index = ch[next++], .is_child = true});
+}
+
+/**
+ * Number block @p b's gate items by their reordered positions, starting
+ * at @p pos, and record its transitive gate count. Returns the position
+ * after the body.
+ */
+std::size_t
+place(BlockBodies& bodies, std::size_t b, std::size_t pos)
+{
+    const std::size_t start = pos;
+    for (std::size_t k = bodies.off[b]; k < bodies.off[b + 1]; ++k) {
+        BodyItem& it = bodies.items[k];
+        if (it.is_child)
+            pos = place(bodies, it.index, pos);
+        else
+            it.index = pos++;
+    }
+    bodies.total[b] = pos - start;
+    return pos;
+}
 
 /** Recursively emit a block's body into @p out, recording start
  * positions. */
@@ -125,15 +121,39 @@ emit_block(const qir::Circuit& c, const std::vector<CommBlock>& blocks,
 {
     if (block_order)
         (*block_order)[b] = out.size();
-    for (const BodyItem& item : block_body(c, blocks, b)) {
+    for_each_item(blocks, blocks[b], [&](const BodyItem& item) {
         if (item.is_child)
             emit_block(c, blocks, item.index, out, block_order);
         else
             out.add(c[item.index]);
-    }
+    });
 }
 
 } // namespace
+
+BlockBodies
+layout_bodies(const std::vector<CommBlock>& blocks,
+              const std::vector<std::size_t>& block_start)
+{
+    BlockBodies bodies;
+    bodies.off.resize(blocks.size() + 1);
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        const CommBlock& blk = blocks[b];
+        bodies.off[b + 1] = bodies.off[b] + blk.members.size() +
+                            blk.absorbed.size() + blk.children.size();
+    }
+    bodies.items.resize(bodies.off.back());
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        BodyItem* out = bodies.items.data() + bodies.off[b];
+        for_each_item(blocks, blocks[b],
+                      [&out](const BodyItem& item) { *out++ = item; });
+    }
+    bodies.total.assign(blocks.size(), 0);
+    for (std::size_t b = 0; b < blocks.size(); ++b)
+        if (blocks[b].parent == -1)
+            place(bodies, b, block_start[b]);
+    return bodies;
+}
 
 qir::Circuit
 reorder_with_blocks(const qir::Circuit& c,
@@ -160,41 +180,21 @@ reorder_with_blocks(const qir::Circuit& c,
         }
     }
 
-    // Top-level blocks release at the last gate of their transitive
-    // window (their own last member; children lie strictly inside).
-    std::vector<long> release_block(c.size(), -1);
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-        if (blocks[b].parent != -1)
-            continue;
-        release_block[blocks[b].members.back()] = static_cast<long>(b);
-    }
-
-    // Map each gate to its top-level ancestor block for buffering.
-    std::vector<int> top_owner(c.size(), -1);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-        int b = owner[i];
-        if (b == -1)
-            continue;
-        while (blocks[static_cast<std::size_t>(b)].parent != -1)
-            b = static_cast<int>(
-                blocks[static_cast<std::size_t>(b)].parent);
-        top_owner[i] = b;
-    }
-
     if (block_order)
         block_order->assign(blocks.size(), 0);
 
+    // Block gates are held back; a top-level block is emitted whole at
+    // the last gate of its transitive window, which is its own last
+    // member (children lie strictly inside).
     qir::Circuit out(c.num_qubits(), c.num_cbits());
     for (std::size_t i = 0; i < c.size(); ++i) {
-        if (top_owner[i] == -1) {
+        if (owner[i] == -1) {
             out.add(c[i]);
             continue;
         }
-        const long rel = release_block[i];
-        if (rel == -1)
-            continue; // buffered until the top-level block's last member
-        emit_block(c, blocks, static_cast<std::size_t>(rel), out,
-                   block_order);
+        const auto b = static_cast<std::size_t>(owner[i]);
+        if (blocks[b].parent == -1 && blocks[b].members.back() == i)
+            emit_block(c, blocks, b, out, block_order);
     }
     if (out.size() != c.size())
         support::fatal("reorder_with_blocks: gate count changed (%zu -> "

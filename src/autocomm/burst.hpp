@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -106,28 +107,47 @@ struct PairKey
     bool operator==(const PairKey&) const = default;
 };
 
-/** One element of a block's execution body: a plain gate (by original
- * circuit index) or a nested child block (by block id). */
+/** One element of a block's execution body: a plain gate or a nested
+ * child block. */
 struct BodyItem
 {
+    std::size_t index = 0;  ///< gate position, or block id when is_child
     bool is_child = false;
-    std::size_t index = 0;   ///< gate index, or block id when is_child
-    bool is_member = false;  ///< for gates: member vs absorbed
+    bool is_member = false; ///< for gates: member vs absorbed
 };
 
 /**
- * The execution body of block @p b: its own members and absorbed gates
- * merged with its nested children, in window order. Gates that fall
- * inside a child's window (they commute with that child) are ordered
- * before the child unit.
+ * Every block's execution body in one flat arena: block b's items are
+ * items[off[b] .. off[b + 1]), and total[b] is its transitive gate count
+ * (own gates plus all descendants').
  */
-std::vector<BodyItem> block_body(const qir::Circuit& c,
-                                 const std::vector<CommBlock>& blocks,
-                                 std::size_t b);
+struct BlockBodies
+{
+    std::vector<BodyItem> items;
+    std::vector<std::size_t> off;
+    std::vector<std::size_t> total;
 
-/** Transitive gate count of a block (own gates + all descendants). */
-std::size_t block_total_gates(const std::vector<CommBlock>& blocks,
-                              std::size_t b);
+    std::span<const BodyItem>
+    body(std::size_t b) const
+    {
+        return {items.data() + off[b], off[b + 1] - off[b]};
+    }
+};
+
+/**
+ * Lay out the execution body of every block in the reordered circuit:
+ * its own members and absorbed gates merged with its nested children, in
+ * window order, gates named by their reordered positions. Gates that
+ * fall inside a child's window (they commute with that child) are
+ * ordered before the child unit; reorder_with_blocks emits bodies in the
+ * same order. Linear in the total body size: relies on members and
+ * absorbed being ascending and children being ordered by window_begin,
+ * as aggregation produces them.
+ *
+ * @param block_start the out-param of reorder_with_blocks.
+ */
+BlockBodies layout_bodies(const std::vector<CommBlock>& blocks,
+                          const std::vector<std::size_t>& block_start);
 
 /**
  * Build the reordered circuit in which every top-level block's gates

@@ -50,14 +50,6 @@ h_conjugate(const Gate& g)
     }
 }
 
-/** A block body element in reordered coordinates (see schedule.cpp). */
-struct LowerItem
-{
-    bool is_child = false;
-    std::size_t index = 0;  ///< reordered gate position, or block id
-    bool is_member = false;
-};
-
 } // namespace
 
 qir::Circuit
@@ -84,29 +76,7 @@ lower_to_physical(const qir::Circuit& c, const hw::QubitMapping& map,
     const std::vector<CommBlock>& blocks = result.blocks;
     qir::Circuit out(layout.total_qubits(), ordered.num_cbits());
 
-    // ---- Per-block body items in reordered coordinates ----
-    std::vector<std::vector<LowerItem>> body(blocks.size());
-    std::vector<std::size_t> total_len(blocks.size(), 0);
-    for (std::size_t b = 0; b < blocks.size(); ++b)
-        total_len[b] = block_total_gates(blocks, b);
-
-    std::function<std::size_t(std::size_t, std::size_t)> build_body =
-        [&](std::size_t b, std::size_t start) -> std::size_t {
-        std::size_t pos = start;
-        for (const BodyItem& item : block_body(ordered, blocks, b)) {
-            if (item.is_child) {
-                body[b].push_back({true, item.index, false});
-                pos = build_body(item.index, pos);
-            } else {
-                body[b].push_back({false, pos, item.is_member});
-                ++pos;
-            }
-        }
-        return pos;
-    };
-    for (std::size_t b = 0; b < blocks.size(); ++b)
-        if (blocks[b].parent == -1)
-            build_body(b, result.block_start[b]);
+    const BlockBodies bodies = layout_bodies(blocks, result.block_start);
 
     auto phys = [&](QubitId q) { return layout.data(q); };
 
@@ -127,7 +97,7 @@ lower_to_physical(const qir::Circuit& c, const hw::QubitMapping& map,
 
     // Emit one non-member body item (plain gate at data slots, or a
     // nested child block).
-    auto emit_plain = [&](const LowerItem& it) {
+    auto emit_plain = [&](const BodyItem& it) {
         if (it.is_child)
             lower_block(it.index);
         else
@@ -142,7 +112,7 @@ lower_to_physical(const qir::Circuit& c, const hw::QubitMapping& map,
         active[static_cast<std::size_t>(blk.hub_node)] += 1;
         active[static_cast<std::size_t>(blk.remote_node)] += 1;
 
-        const auto& items = body[b];
+        const std::span<const BodyItem> items = bodies.body(b);
 
         if (blk.scheme == Scheme::Cat) {
             std::vector<std::size_t> segments = blk.cat_segments;
@@ -172,7 +142,7 @@ lower_to_physical(const qir::Circuit& c, const hw::QubitMapping& map,
 
                 std::size_t members_run = 0;
                 while (k < items.size() && members_run < seg) {
-                    const LowerItem& it = items[k];
+                    const BodyItem& it = items[k];
                     ++k;
                     if (it.is_child) {
                         lower_block(it.index);
@@ -217,7 +187,7 @@ lower_to_physical(const qir::Circuit& c, const hw::QubitMapping& map,
             // teleport it back over the node's second comm qubit.
             comm::emit_epr(out, comm_hub, comm_rem);
             comm::emit_teleport(out, hub_p, comm_hub, comm_rem);
-            for (const LowerItem& it : items) {
+            for (const BodyItem& it : items) {
                 if (it.is_child) {
                     lower_block(it.index);
                     continue;
@@ -247,7 +217,7 @@ lower_to_physical(const qir::Circuit& c, const hw::QubitMapping& map,
         if (blocks[b].parent != -1)
             continue;
         for (std::size_t p = result.block_start[b];
-             p < result.block_start[b] + total_len[b]; ++p)
+             p < result.block_start[b] + bodies.total[b]; ++p)
             in_block[p] = 1;
     }
 
@@ -256,7 +226,7 @@ lower_to_physical(const qir::Circuit& c, const hw::QubitMapping& map,
         if (top_at[i] >= 0) {
             const auto b = static_cast<std::size_t>(top_at[i]);
             lower_block(b);
-            i += total_len[b];
+            i += bodies.total[b];
             continue;
         }
         if (in_block[i])

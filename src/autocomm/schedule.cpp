@@ -25,14 +25,6 @@ struct Unit
     std::size_t index = 0; // reordered gate index, or block id
 };
 
-/** A block body element in reordered coordinates. */
-struct SchedItem
-{
-    bool is_child = false;
-    std::size_t index = 0;  ///< reordered gate position, or block id
-    bool is_member = false; ///< for gates: member vs absorbed
-};
-
 /** "0-3-2" rendering of a route for decision payloads. */
 std::string
 route_string(const std::vector<NodeId>& route)
@@ -61,11 +53,10 @@ gate_duration(const Gate& g, const hw::LatencyModel& lat)
 }
 
 /**
- * The list scheduler's working state, laid out flat: one arena of body
- * items indexed by per-block (offset, length) spans instead of a
- * vector-of-vectors, plain member functions instead of recursive
- * std::functions, and per-pair ledger counts accumulated in a dense
- * array that is folded into the EprLedger maps once at the end.
+ * The list scheduler's working state, laid out flat: block bodies in
+ * layout_bodies' single arena, plain member functions instead of
+ * recursive std::functions, and per-pair ledger counts accumulated in a
+ * dense array that is folded into the EprLedger maps once at the end.
  * record_fidelity() stays a per-preparation call in scheduling order —
  * the log-fidelity sum is a double whose value depends on summation
  * order, and the sweep cache guarantees byte-identical metrics.
@@ -84,12 +75,8 @@ struct Scheduler
     const double t_ent = lat.t_cat_entangle();
     const double t_dis = lat.t_cat_disentangle();
 
-    // Flat body arena: block b's items live at
-    // arena[body_off[b] .. body_off[b] + body_len[b]).
-    std::vector<SchedItem> arena;
-    std::vector<std::size_t> body_off;
-    std::vector<std::size_t> body_len;
-    std::vector<std::size_t> total_len;
+    // Block bodies in reordered coordinates (one flat arena).
+    BlockBodies bodies;
     std::vector<Unit> units;
     std::vector<char> fuse_next;
 
@@ -166,48 +153,10 @@ struct Scheduler
             away_hubs.erase(it);
     }
 
-    // ---- Per-block body in reordered coordinates ----
-    // reorder_with_blocks emits each top-level block's flattened body
-    // starting at block_start[b]; nested children occupy contiguous
-    // sub-ranges. Rebuild the item lists with reordered positions.
-    std::size_t
-    build_body(std::size_t b, std::size_t start)
-    {
-        std::size_t pos = start;
-        body_off[b] = arena.size();
-        // block_body allocates; materialize the child list first so the
-        // arena writes stay contiguous per block.
-        const std::vector<BodyItem> items =
-            block_body(reordered, blocks, b);
-        // Reserve this block's span before recursing into children.
-        for (const BodyItem& item : items)
-            arena.push_back({item.is_child, item.index, item.is_member});
-        body_len[b] = arena.size() - body_off[b];
-        std::size_t slot = body_off[b];
-        for (const BodyItem& item : items) {
-            if (item.is_child) {
-                pos = build_body(item.index, pos);
-            } else {
-                arena[slot].index = pos;
-                ++pos;
-            }
-            ++slot;
-        }
-        return pos;
-    }
-
     void
     build_bodies_and_units()
     {
-        total_len.assign(blocks.size(), 0);
-        for (std::size_t b = 0; b < blocks.size(); ++b)
-            total_len[b] = block_total_gates(blocks, b);
-
-        body_off.assign(blocks.size(), 0);
-        body_len.assign(blocks.size(), 0);
-        for (std::size_t b = 0; b < blocks.size(); ++b)
-            if (blocks[b].parent == -1)
-                build_body(b, block_start[b]);
+        bodies = layout_bodies(blocks, block_start);
 
         std::vector<std::size_t> block_at(reordered.size(),
                                           static_cast<std::size_t>(-1));
@@ -219,7 +168,7 @@ struct Scheduler
             const std::size_t b = block_at[i];
             if (b != static_cast<std::size_t>(-1)) {
                 units.push_back({true, b});
-                i += total_len[b];
+                i += bodies.total[b];
             } else {
                 units.push_back({false, i});
                 ++i;
@@ -272,7 +221,7 @@ struct Scheduler
             // qubits, so be conservative and close chains on every
             // touched qubit other than the hub.
             for (std::size_t p = block_start[u.index];
-                 p < block_start[u.index] + total_len[u.index]; ++p) {
+                 p < block_start[u.index] + bodies.total[u.index]; ++p) {
                 const Gate& g = reordered[p];
                 for (int k = 0; k < g.num_qubits; ++k) {
                     const QubitId q = g.qs[static_cast<std::size_t>(k)];
@@ -550,7 +499,7 @@ struct Scheduler
         double channel = t0;
         std::size_t members_run = 0;
         while (cursor < end && members_run < member_budget) {
-            const SchedItem it = arena[cursor];
+            const BodyItem it = bodies.items[cursor];
             ++cursor;
             if (it.is_child) {
                 schedule_block(it.index);
@@ -622,8 +571,8 @@ struct Scheduler
                 seg_count = 1;
             }
 
-            std::size_t cursor = body_off[b];
-            const std::size_t end = body_off[b] + body_len[b];
+            std::size_t cursor = bodies.off[b];
+            const std::size_t end = bodies.off[b + 1];
             for (std::size_t s = 0; s < seg_count; ++s) {
                 auto [epr_done, s_hub, s_rem] = prepare_epr(
                     blk.hub_node, blk.remote_node, hub_ready(blk.hub));
@@ -645,7 +594,7 @@ struct Scheduler
             }
             // Trailing items after the last member.
             while (cursor < end) {
-                const SchedItem it = arena[cursor];
+                const BodyItem it = bodies.items[cursor];
                 if (it.is_child)
                     schedule_block(it.index);
                 else
@@ -683,9 +632,9 @@ struct Scheduler
         mark_away(blk.hub);
         qready[static_cast<std::size_t>(blk.hub)] = arrive;
 
-        std::size_t cursor = body_off[b];
+        std::size_t cursor = bodies.off[b];
         const double channel =
-            run_body_slice(blk, cursor, body_off[b] + body_len[b],
+            run_body_slice(blk, cursor, bodies.off[b + 1],
                            static_cast<std::size_t>(-1), arrive);
         qready[static_cast<std::size_t>(blk.hub)] = channel;
         bump(channel);

@@ -67,6 +67,21 @@ operator new[](std::size_t n)
     return ::operator new(n);
 }
 
+// The nothrow forms (std::stable_sort's temporary buffer) must come from
+// malloc too, or the replaced deletes below free a sanitizer allocation.
+void*
+operator new(std::size_t n, const std::nothrow_t&) noexcept
+{
+    ++g_allocs;
+    return std::malloc(n);
+}
+
+void*
+operator new[](std::size_t n, const std::nothrow_t&) noexcept
+{
+    return ::operator new(n, std::nothrow);
+}
+
 void
 operator delete(void* p) noexcept
 {
