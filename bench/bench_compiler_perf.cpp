@@ -6,9 +6,7 @@
  * coarsen/initial/refine phases broken out), aggregation, scheme
  * assignment, block reorder+metrics, and the latency-simulating
  * scheduler. Not a paper table — this measures the compiler, not the
- * compiled programs. It is the profiling substrate for parallelizing
- * within one compilation (see ROADMAP): the aggregate column is the
- * remaining single-threaded hot path.
+ * compiled programs. Every pass runs on one thread.
  *
  *   bench_compiler_perf                             # default grid
  *   bench_compiler_perf --families QFT,UCCSD --qubits 100,200 --reps 5
@@ -27,8 +25,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -47,7 +43,6 @@
 #include "support/csv.hpp"
 #include "support/log.hpp"
 #include "support/table.hpp"
-#include "support/threadpool.hpp"
 
 namespace {
 
@@ -116,8 +111,7 @@ pass_sums_ns()
  * of each pass's registry histogram over this rep. */
 Breakdown
 profile_once(const circuits::BenchmarkSpec& spec,
-             partition::Mapper mapper, std::size_t* gates,
-             support::ThreadPool* pool)
+             partition::Mapper mapper, std::size_t* gates)
 {
     const auto before = pass_sums_ns();
 
@@ -161,7 +155,7 @@ profile_once(const circuits::BenchmarkSpec& spec,
     std::vector<pass::CommBlock> blocks;
     {
         obs::Span span("aggregate", spec.label());
-        blocks = pass::aggregate(c, map, {}, pool);
+        blocks = pass::aggregate(c, map);
     }
     {
         obs::Span span("assign", spec.label());
@@ -215,11 +209,6 @@ usage(const char* argv0)
         "                   coarsen/initial/refine columns\n"
         "  --reps N         repetitions per cell, min reported "
         "(default 3)\n"
-        "  --threads N      worker threads for the parallel passes "
-        "(default 1 = serial)\n"
-        "  --assert-speedup X  also profile serially and fail unless\n"
-        "                   serial/parallel (aggregate+schedule) >= X\n"
-        "                   for every cell (requires --threads > 1)\n"
         "  --csv PATH       write the breakdown as CSV\n"
         "  --trace-out FILE write a Chrome trace-event JSON of the "
         "profiled spans\n"
@@ -244,8 +233,6 @@ main(int argc, char** argv)
     std::vector<int> qubits = {50, 100, 200};
     partition::Mapper mapper = partition::Mapper::Oee;
     int reps = 3;
-    int threads = 1;
-    double assert_speedup = 0.0;
     std::string csv_path;
     bench::ObsCli obs_cli;
 
@@ -274,15 +261,6 @@ main(int argc, char** argv)
             } else if (arg == "--reps") {
                 reps = driver::parse_int_list(value(), "--reps", 1, 1000)
                            .at(0);
-            } else if (arg == "--threads") {
-                threads =
-                    driver::parse_int_list(value(), "--threads", 1, 1024)
-                        .at(0);
-            } else if (arg == "--assert-speedup") {
-                assert_speedup = std::atof(value().c_str());
-                if (assert_speedup <= 0.0)
-                    support::fatal("--assert-speedup: expected a positive "
-                                   "ratio");
             } else if (arg == "--csv") {
                 csv_path = value();
             } else if (bench::parse_obs_flag(obs_cli, argc, argv, i)) {
@@ -301,24 +279,17 @@ main(int argc, char** argv)
                       "refine (ms)", "aggregate (ms)", "assign (ms)",
                       "reorder (ms)", "schedule (ms)", "total (ms)"});
     support::CsvWriter csv({"name", "qubits", "nodes", "partitioner",
-                            "threads", "gates", "decompose_ms", "graph_ms",
+                            "gates", "decompose_ms", "graph_ms",
                             "partition_ms", "coarsen_ms", "initial_ms",
                             "refine_ms", "aggregate_ms", "assign_ms",
                             "reorder_ms", "schedule_ms", "total_ms"});
 
-    if (assert_speedup > 0.0 && threads <= 1)
-        support::fatal("--assert-speedup requires --threads > 1");
     // The breakdown IS the obs registry here, so recording is always on
     // for this binary (apply_obs_cli still handles AUTOCOMM_TRACE and
     // lane naming for the optional exports).
     bench::apply_obs_cli(obs_cli);
     obs::set_lane_name("main");
     obs::set_enabled(true);
-    std::unique_ptr<support::ThreadPool> pool;
-    if (threads > 1)
-        pool = std::make_unique<support::ThreadPool>(
-            static_cast<std::size_t>(threads));
-    bool speedup_ok = true;
 
     for (const circuits::FamilySpec& f : families) {
         const std::vector<int> fam_qubits =
@@ -329,34 +300,10 @@ main(int argc, char** argv)
             const circuits::BenchmarkSpec spec =
                 circuits::spec_for(f, q, std::max(2, q / 10));
             std::size_t gates = 0;
-            Breakdown best = profile_once(spec, mapper, &gates, pool.get());
+            Breakdown best = profile_once(spec, mapper, &gates);
             for (int r = 1; r < reps; ++r) {
                 std::size_t g2 = 0;
-                best.take_min(profile_once(spec, mapper, &g2, pool.get()));
-            }
-
-            if (assert_speedup > 0.0) {
-                std::size_t g2 = 0;
-                Breakdown serial = profile_once(spec, mapper, &g2, nullptr);
-                for (int r = 1; r < reps; ++r)
-                    serial.take_min(
-                        profile_once(spec, mapper, &g2, nullptr));
-                const double hot_serial = serial.aggregate + serial.schedule;
-                const double hot_par = best.aggregate + best.schedule;
-                const double ratio =
-                    hot_par > 0.0 ? hot_serial / hot_par : 0.0;
-                std::printf("%s: aggregate+schedule %.2f ms serial, "
-                            "%.2f ms at %d threads (%.2fx)\n",
-                            spec.label().c_str(), hot_serial, hot_par,
-                            threads, ratio);
-                if (ratio < assert_speedup) {
-                    std::fprintf(stderr,
-                                 "error: %s: speedup %.2fx below required "
-                                 "%.2fx\n",
-                                 spec.label().c_str(), ratio,
-                                 assert_speedup);
-                    speedup_ok = false;
-                }
+                best.take_min(profile_once(spec, mapper, &g2));
             }
 
             t.start_row();
@@ -379,7 +326,6 @@ main(int argc, char** argv)
             csv.add(static_cast<long long>(q));
             csv.add(static_cast<long long>(spec.num_nodes));
             csv.add(std::string(partition::mapper_name(mapper)));
-            csv.add(static_cast<long long>(threads));
             csv.add(static_cast<long long>(gates));
             csv.add(best.decompose);
             csv.add(best.graph);
@@ -402,5 +348,5 @@ main(int argc, char** argv)
         csv.write_file(*dir + "/compiler_perf.csv");
     }
     bench::finish_obs_cli(obs_cli);
-    return speedup_ok ? 0 : 1;
+    return 0;
 }

@@ -7,80 +7,23 @@
 #include "obs/decision.hpp"
 #include "qir/commute.hpp"
 #include "support/log.hpp"
-#include "support/threadpool.hpp"
 
 namespace autocomm::pass {
 
 namespace {
 
+using qir::AxisMask;
 using qir::BlockContext;
 using qir::Gate;
 using qir::GateKind;
-
-/** Growing block state during the per-pair scan. */
-struct Builder
-{
-    std::vector<std::size_t> members;
-    std::vector<std::size_t> absorbed;
-    std::vector<std::size_t> children; ///< nested block ids
-    BlockContext ctx;
-
-    bool empty() const { return members.empty(); }
-
-    void
-    reset()
-    {
-        members.clear();
-        absorbed.clear();
-        children.clear();
-        ctx = BlockContext();
-    }
-};
 
 /** Fences that no block may extend across. */
 bool
 is_fence(const Gate& g)
 {
-    return !qir::is_unitary_gate(g.kind) || g.cond_bit >= 0;
+    return g.kind == GateKind::Barrier || !qir::is_unitary_gate(g.kind) ||
+           g.cond_bit >= 0;
 }
-
-/**
- * Fenwick tree over gate positions counting owner claims. Claims are
- * monotone (a gate is claimed at most once), so an unchanged count over an
- * interval proves no position in it changed ownership — which is how the
- * speculative scans below validate their reads cheaply.
- */
-class ClaimCounter
-{
-  public:
-    explicit ClaimCounter(std::size_t n) : tree_(n + 1, 0) {}
-
-    void
-    add(std::size_t i)
-    {
-        for (++i; i < tree_.size(); i += i & (0 - i))
-            ++tree_[i];
-    }
-
-    /** Claims in the closed interval [lo, hi]. */
-    std::size_t
-    count(std::size_t lo, std::size_t hi) const
-    {
-        return hi < lo ? 0 : prefix(hi + 1) - prefix(lo);
-    }
-
-  private:
-    std::size_t
-    prefix(std::size_t i) const
-    {
-        std::size_t s = 0;
-        for (; i > 0; i -= i & (0 - i))
-            s += tree_[i];
-        return s;
-    }
-
-    std::vector<std::size_t> tree_;
-};
 
 struct PairInfo
 {
@@ -89,61 +32,37 @@ struct PairInfo
     std::vector<std::size_t> gates;
 };
 
-/** Candidate block produced by a speculative (read-only) pair scan. */
-struct SpecBlock
+bool
+contains(const std::vector<std::size_t>& v, std::size_t x)
 {
-    std::vector<std::size_t> members;
-    std::vector<std::size_t> absorbed;
-    std::vector<std::size_t> children;
-};
+    return std::find(v.begin(), v.end(), x) != v.end();
+}
+
+/** A gate's operand qubits, padded to three slots with a sentinel qubit
+ * whose context mask is always clear. */
+using Operands = std::array<QubitId, 3>;
 
 /**
- * Result of one speculative pair scan: the blocks it would emit plus
- * everything mutable it read. The scan is a deterministic function of the
- * circuit (immutable), the owner array restricted to `reads`, and the
- * parent links of `tops` (finalized block content, windows, and the memo
- * caches never change during the scan phase) — so if the recorded claim
- * counts and parent links are unchanged at apply time, committing the
- * candidate blocks is exactly what a serial rescan would do.
- */
-struct ScanSpec
-{
-    std::vector<SpecBlock> blocks;
-    /** Closed intervals read, with the claim count seen at snapshot. */
-    std::vector<std::array<std::size_t, 3>> reads; ///< {lo, hi, count}
-    /** Referenced top-level blocks; parent must still be -1 at apply. */
-    std::vector<std::size_t> tops;
-};
-
-/** Scored refinement merge: what try_merge would fold into A. */
-struct MergePlan
-{
-    bool ok = false;
-    std::vector<std::size_t> pending;
-    std::vector<std::size_t> pending_children;
-};
-
-/**
- * The aggregation pass state machine. Serial behavior is the reference;
- * the parallel paths (scan_phase / refine_phase with a pool) speculate on
- * a frozen snapshot and validate before applying in the serial order, so
- * the output is bit-identical for every thread count.
+ * The aggregation pass state machine.
+ *
+ * Gap walks (extending a block across the gates between two of its
+ * members, in the scan and in refinement) only look at gates that share
+ * a qubit with the block's commutation context: any other non-fence gate
+ * commutes with the block, so stepping over it cannot change the
+ * outcome. A per-qubit mask array mirrors the growing block's
+ * BlockContext for that test and for the commutation check, and a gap
+ * holding a fence is rejected before it is walked.
  */
 struct Aggregator
 {
     const qir::Circuit& c;
     const hw::QubitMapping& map;
     const AggregateOptions& opts;
-    support::ThreadPool* pool;
 
     std::size_t n;
     long num_nodes;
     std::vector<char> remote;
     std::vector<int> owner;
-    /** Claim tracking feeds speculative-scan validation only; the serial
-     * path never reads it, so skip the Fenwick updates there. */
-    bool track_claims = false;
-    ClaimCounter claims;
     std::vector<CommBlock> out;
     std::vector<PairInfo> pairs;
     std::vector<std::size_t> order;
@@ -156,21 +75,30 @@ struct Aggregator
     std::vector<std::vector<std::pair<NodeId, int>>> load_cache;
     std::vector<BlockContext> ctx_cache;
 
-    Aggregator(const qir::Circuit& c_, const hw::QubitMapping& map_,
-               const AggregateOptions& opts_, support::ThreadPool* pool_)
-        : c(c_), map(map_), opts(opts_), pool(pool_), n(c_.size()),
-          num_nodes(std::max(1, map_.num_nodes())), remote(n, 0),
-          owner(n, -1), claims(n)
-    {
-    }
+    // Gap-walk side tables, alive for one aggregate() call. The sentinel
+    // qubit is num_qubits. `fences` lists the fence positions in
+    // ascending order (a sparse list rather than a per-gate table: most
+    // circuits have none). `ctx_mask[q]` is the growing block's context
+    // on q — kInCtx | its axis mask, exactly what BlockContext would
+    // hold, or 0 if the block does not touch q — and `ctx_qubits` lists
+    // the touched qubits, so clearing costs the support size.
+    static constexpr AxisMask kInCtx = 0x80;
+    std::vector<Operands> operands;
+    std::vector<std::size_t> fences;
+    std::vector<AxisMask> ctx_mask;
+    std::vector<QubitId> ctx_qubits;
 
-    bool
-    parallel() const
+    // Reused gap-walk output: local gates and complete blocks the walk
+    // would fold into the block.
+    std::vector<std::size_t> pending;
+    std::vector<std::size_t> pending_children;
+
+    Aggregator(const qir::Circuit& c_, const hw::QubitMapping& map_,
+               const AggregateOptions& opts_)
+        : c(c_), map(map_), opts(opts_), n(c_.size()),
+          num_nodes(std::max(1, map_.num_nodes())), remote(n, 0),
+          owner(n, -1)
     {
-        // From inside a pool worker parallel_for runs inline, so the
-        // speculation machinery would only add overhead — scan serially.
-        return pool && pool->size() > 1 &&
-               !support::ThreadPool::on_worker_thread();
     }
 
     // ---- Block emission ------------------------------------------------
@@ -184,10 +112,7 @@ struct Aggregator
             return;
         // Burst-pair outcome: a multi-gate block is an aggregation win
         // ("accept"); a single lone gate means the scan found nothing to
-        // merge and communication stays per-gate ("reject"). Emission
-        // happens on the scanning thread at commit time (speculative
-        // scans defer to commit_spec), so counts are deterministic at
-        // any thread count.
+        // merge and communication stays per-gate ("reject").
         obs::decision("aggregate.burst",
                       members.size() + absorbed.size() >= 2 ? "accept"
                                                             : "reject",
@@ -208,29 +133,13 @@ struct Aggregator
                       return out[x].window_begin() < out[y].window_begin();
                   });
         const int id = static_cast<int>(out.size());
-        for (std::size_t i : blk.members) {
+        for (std::size_t i : blk.members)
             owner[i] = id;
-            if (track_claims)
-                claims.add(i);
-        }
-        for (std::size_t i : blk.absorbed) {
+        for (std::size_t i : blk.absorbed)
             owner[i] = id;
-            if (track_claims)
-                claims.add(i);
-        }
         for (std::size_t ch : blk.children)
             out[ch].parent = id;
         out.push_back(std::move(blk));
-    }
-
-    void
-    finalize(Builder& b, QubitId hub, NodeId rnode)
-    {
-        if (b.empty())
-            return;
-        emit_block(std::move(b.members), std::move(b.absorbed),
-                   std::move(b.children), hub, rnode);
-        b.reset();
     }
 
     // ---- Nesting support ----------------------------------------------
@@ -307,22 +216,6 @@ struct Aggregator
         ctx_cache[b] = std::move(ctx);
     }
 
-    /**
-     * The touch set of block @p b. Live callers fill the memo on demand;
-     * speculative (parallel) callers run against read-only state, so the
-     * cache pre-pass must already have filled it.
-     */
-    const std::vector<QubitId>&
-    touches(std::size_t b, bool live)
-    {
-        if (live)
-            ensure_cached(b);
-        else if (b >= touch_cache.size() || touch_cache[b].empty())
-            support::fatal(
-                "aggregate: speculative scan hit uncached block %zu", b);
-        return touch_cache[b];
-    }
-
     void
     invalidate_cache(std::size_t b)
     {
@@ -333,7 +226,86 @@ struct Aggregator
         }
     }
 
+    // ---- The growing block's context (BlockContext semantics) --------
+
+    /** Add axis mask @p m on qubit @p q: intersect, or start the entry. */
+    void
+    narrow(QubitId q, AxisMask m)
+    {
+        AxisMask& cur = ctx_mask[static_cast<std::size_t>(q)];
+        if (cur == 0) {
+            cur = kInCtx | m;
+            ctx_qubits.push_back(q);
+        } else {
+            cur &= kInCtx | m;
+        }
+    }
+
+    /** BlockContext::absorb of gate @p i. */
+    void
+    absorb_gate(std::size_t i)
+    {
+        const Gate& g = c[i];
+        for (std::size_t k = 0; k < g.num_qubits; ++k)
+            narrow(g.qs[k], g.axis_on(g.qs[k]));
+    }
+
+    /** BlockContext::merge of finalized block @p b (and descendants). */
+    void
+    merge_block(std::size_t b)
+    {
+        ensure_cached(b);
+        for (QubitId q : touch_cache[b])
+            narrow(q, ctx_cache[b].mask(q));
+    }
+
+    void
+    clear_context()
+    {
+        for (QubitId q : ctx_qubits)
+            ctx_mask[static_cast<std::size_t>(q)] = 0;
+        ctx_qubits.clear();
+    }
+
+    /** True if gate @p j shares a qubit with the context. */
+    bool
+    on_support(std::size_t j) const
+    {
+        const Operands& o = operands[j];
+        return (ctx_mask[static_cast<std::size_t>(o[0])] |
+                ctx_mask[static_cast<std::size_t>(o[1])] |
+                ctx_mask[static_cast<std::size_t>(o[2])]) != 0;
+    }
+
+    /** BlockContext::commutes of non-fence gate @p j. */
+    bool
+    commutes(std::size_t j) const
+    {
+        const Gate& g = c[j];
+        for (std::size_t k = 0; k < g.num_qubits; ++k) {
+            const AxisMask m = ctx_mask[static_cast<std::size_t>(g.qs[k])];
+            if (m != 0 && (m & g.axis_on(g.qs[k])) == 0)
+                return false;
+        }
+        return true;
+    }
+
     // ---- Preprocessing -------------------------------------------------
+
+    void
+    build_tables()
+    {
+        const QubitId sentinel = c.num_qubits();
+        operands.assign(n, {sentinel, sentinel, sentinel});
+        for (std::size_t i = 0; i < n; ++i) {
+            const Gate& g = c[i];
+            for (std::size_t k = 0; k < g.num_qubits; ++k)
+                operands[i][k] = g.qs[k];
+            if (is_fence(g))
+                fences.push_back(i);
+        }
+        ctx_mask.assign(static_cast<std::size_t>(sentinel) + 1, 0);
+    }
 
     void
     flag_remote()
@@ -353,13 +325,21 @@ struct Aggregator
     void
     rank_pairs()
     {
-        std::unordered_map<long, std::size_t> pair_index;
+        constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+        std::vector<std::size_t> pair_index(
+            static_cast<std::size_t>(c.num_qubits()) *
+                static_cast<std::size_t>(num_nodes),
+            kNone);
         auto note_pair = [&](QubitId hub, NodeId rnode, std::size_t gate) {
-            const long key = static_cast<long>(hub) * num_nodes + rnode;
-            auto [it, inserted] = pair_index.try_emplace(key, pairs.size());
-            if (inserted)
+            std::size_t& slot =
+                pair_index[static_cast<std::size_t>(hub) *
+                               static_cast<std::size_t>(num_nodes) +
+                           static_cast<std::size_t>(rnode)];
+            if (slot == kNone) {
+                slot = pairs.size();
                 pairs.push_back({hub, rnode, {}});
-            pairs[it->second].gates.push_back(gate);
+            }
+            pairs[slot].gates.push_back(gate);
         };
         for (std::size_t i = 0; i < n; ++i) {
             if (!remote[i])
@@ -382,236 +362,131 @@ struct Aggregator
                   });
     }
 
-    // ---- Linear merge per pair, densest pair first ---------------------
-    // With spec == nullptr the scan runs live: it finalizes blocks and
-    // claims gates. With a spec it is read-only against the frozen state
-    // and records candidate blocks plus its full read footprint instead.
+    // ---- The gap walk ----------------------------------------------------
 
-    void
-    scan_pair(std::size_t pi, ScanSpec* spec)
-    {
-        const PairInfo& pair = pairs[pi];
-        const bool live = spec == nullptr;
-        Builder cur;
-        std::size_t prev = 0; // last member index (valid if !cur.empty())
-
-        auto emit = [&]() {
-            if (cur.empty())
-                return;
-            if (live) {
-                finalize(cur, pair.hub, pair.rnode);
-            } else {
-                spec->blocks.push_back({std::move(cur.members),
-                                        std::move(cur.absorbed),
-                                        std::move(cur.children)});
-                cur.reset();
-            }
-        };
-
-        for (std::size_t idx : pair.gates) {
-            if (spec)
-                spec->reads.push_back({idx, idx, claims.count(idx, idx)});
-            if (owner[idx] != -1)
-                continue; // claimed by an earlier block
-            if (cur.empty()) {
-                cur.members.push_back(idx);
-                cur.ctx.absorb(c[idx]);
-                prev = idx;
-                continue;
-            }
-
-            // Attempt to extend across the interval (prev, idx).
-            BlockContext ctx2 = cur.ctx;
-            std::vector<std::size_t> pending;
-            std::vector<std::size_t> pending_children;
-            bool ok = true;
-            std::size_t j_hi = prev; // last gap position examined
-            for (std::size_t j = prev + 1; j < idx && ok; ++j) {
-                j_hi = j;
-                const Gate& g = c[j];
-                if (g.kind == GateKind::Barrier || is_fence(g)) {
-                    ok = false;
-                    break;
-                }
-                if (owner[j] != -1) {
-                    const std::size_t top =
-                        top_ancestor(static_cast<std::size_t>(owner[j]));
-                    if (spec)
-                        spec->tops.push_back(top);
-                    const bool already_nested =
-                        std::find(pending_children.begin(),
-                                  pending_children.end(),
-                                  top) != pending_children.end() ||
-                        std::find(cur.children.begin(), cur.children.end(),
-                                  top) != cur.children.end();
-                    if (already_nested)
-                        continue; // inside a nested child: handled
-                    if (ctx2.commutes(g))
-                        continue; // whole-block push-out, gate by gate
-                    // Try to nest the complete block `top`.
-                    const CommBlock& cb = out[top];
-                    ok = false;
-                    if (opts.absorb_local_gates &&
-                        cb.window_begin() > prev && cb.window_end() < idx) {
-                        const std::vector<QubitId>& tt = touches(top, live);
-                        const bool hits_hub =
-                            std::find(tt.begin(), tt.end(), pair.hub) !=
-                            tt.end();
-                        bool window_clash = false;
-                        auto overlaps = [&](std::size_t other) {
-                            return out[other].window_begin() <=
-                                       cb.window_end() &&
-                                   cb.window_begin() <=
-                                       out[other].window_end();
-                        };
-                        for (std::size_t sib : cur.children)
-                            window_clash |= overlaps(sib);
-                        for (std::size_t sib : pending_children)
-                            window_clash |= overlaps(sib);
-                        bool capacity_ok = true;
-                        const NodeId parent_hub_node =
-                            map.node_of(pair.hub);
-                        for (const auto& [node, l] : load_cache[top]) {
-                            const int parent_use =
-                                (node == parent_hub_node ||
-                                 node == pair.rnode)
-                                    ? 1
-                                    : 0;
-                            if (l + parent_use > opts.comm_capacity)
-                                capacity_ok = false;
-                        }
-                        if (!hits_hub && !window_clash && capacity_ok) {
-                            pending_children.push_back(top);
-                            // Later push-outs must commute past the
-                            // nested child's gates too (descendants
-                            // included — the memoized context carries
-                            // their axis masks).
-                            ctx2.merge(ctx_cache[top]);
-                            ok = true;
-                        }
-                    }
-                    continue;
-                }
-                if (ctx2.commutes(g))
-                    continue; // push out of the window
-                const bool touches_hub = g.acts_on(pair.hub);
-                if (g.is_single_qubit() && opts.absorb_local_gates) {
-                    pending.push_back(j);
-                    ctx2.absorb(g);
-                } else if (g.num_qubits >= 2 && !remote[j] &&
-                           !touches_hub && opts.absorb_local_gates) {
-                    pending.push_back(j);
-                    ctx2.absorb(g);
-                } else {
-                    ok = false;
-                }
-            }
-            if (spec && j_hi > prev)
-                spec->reads.push_back(
-                    {prev + 1, j_hi, claims.count(prev + 1, j_hi)});
-
-            if (ok) {
-                cur.members.push_back(idx);
-                ctx2.absorb(c[idx]);
-                cur.ctx = std::move(ctx2);
-                cur.absorbed.insert(cur.absorbed.end(), pending.begin(),
-                                    pending.end());
-                cur.children.insert(cur.children.end(),
-                                    pending_children.begin(),
-                                    pending_children.end());
-                prev = idx;
-            } else {
-                emit();
-                cur.members.push_back(idx);
-                cur.ctx.absorb(c[idx]);
-                prev = idx;
-            }
-        }
-        emit();
-    }
-
+    /**
+     * May complete block @p top nest inside the gap (lo, hi) of a block
+     * on (hub, rnode) that already holds @p kids (plus pending_children)?
+     */
     bool
-    spec_valid(const ScanSpec& s) const
+    nestable(std::size_t top, QubitId hub, NodeId rnode, std::size_t lo,
+             std::size_t hi, const std::vector<std::size_t>& kids)
     {
-        for (const auto& r : s.reads)
-            if (claims.count(r[0], r[1]) != r[2])
+        const CommBlock& cb = out[top];
+        if (!opts.absorb_local_gates ||
+            !(cb.window_begin() > lo && cb.window_end() < hi))
+            return false;
+        ensure_cached(top);
+        const std::vector<QubitId>& tt = touch_cache[top];
+        if (std::find(tt.begin(), tt.end(), hub) != tt.end())
+            return false;
+        auto overlaps = [&](std::size_t other) {
+            return out[other].window_begin() <= cb.window_end() &&
+                   cb.window_begin() <= out[other].window_end();
+        };
+        if (std::any_of(kids.begin(), kids.end(), overlaps) ||
+            std::any_of(pending_children.begin(), pending_children.end(),
+                        overlaps))
+            return false;
+        const NodeId hub_node = map.node_of(hub);
+        for (const auto& [node, l] : load_cache[top]) {
+            const int parent_use =
+                (node == hub_node || node == rnode) ? 1 : 0;
+            if (l + parent_use > opts.comm_capacity)
                 return false;
-        for (std::size_t t : s.tops)
-            if (out[t].parent != -1)
-                return false;
+        }
         return true;
     }
 
-    void
-    commit_spec(std::size_t pi, ScanSpec& s)
+    /**
+     * Walk the gap (lo, hi) of a block on (hub, rnode) with children
+     * @p kids, growing the context by every gate and complete block the
+     * merge would fold in; those are collected in pending /
+     * pending_children. Every gap gate must be pushed out of the window
+     * (it commutes with the block so far), absorbed (a local gate off the
+     * hub), or lie in a complete block that nests. Returns false when one
+     * cannot; the caller then discards the context and the pending lists.
+     */
+    bool
+    walk_gap(std::size_t lo, std::size_t hi, QubitId hub, NodeId rnode,
+             const std::vector<std::size_t>& kids)
     {
-        for (SpecBlock& sb : s.blocks)
-            emit_block(std::move(sb.members), std::move(sb.absorbed),
-                       std::move(sb.children), pairs[pi].hub,
-                       pairs[pi].rnode);
+        pending.clear();
+        pending_children.clear();
+        const auto fence = std::upper_bound(fences.begin(), fences.end(), lo);
+        if (fence != fences.end() && *fence < hi)
+            return false;
+        for (std::size_t j = lo + 1; j < hi; ++j) {
+            if (!on_support(j))
+                continue; // commutes with the whole block
+            if (owner[j] != -1) {
+                const std::size_t top =
+                    top_ancestor(static_cast<std::size_t>(owner[j]));
+                if (contains(pending_children, top) || contains(kids, top))
+                    continue; // inside a nested child: handled
+                if (commutes(j))
+                    continue; // whole-block push-out, gate by gate
+                if (!nestable(top, hub, rnode, lo, hi, kids))
+                    return false;
+                pending_children.push_back(top);
+                // Later push-outs must commute past the nested child's
+                // gates too (descendants included — the memoized context
+                // carries their axis masks).
+                merge_block(top);
+                continue;
+            }
+            if (commutes(j))
+                continue; // push out of the window
+            const Gate& g = c[j];
+            const bool absorbable =
+                opts.absorb_local_gates &&
+                (g.is_single_qubit() ||
+                 (g.num_qubits >= 2 && !remote[j] && !g.acts_on(hub)));
+            if (!absorbable)
+                return false;
+            pending.push_back(j);
+            absorb_gate(j);
+        }
+        return true;
     }
 
+    // ---- Linear merge per pair, densest pair first ---------------------
+
     void
-    scan_phase()
+    scan_pair(const PairInfo& pair)
     {
-        if (!parallel()) {
-            for (std::size_t pi : order)
-                scan_pair(pi, nullptr);
-            return;
-        }
-        track_claims = true;
+        std::vector<std::size_t> members, absorbed, children;
+        auto emit = [&]() {
+            if (members.empty())
+                return;
+            emit_block(std::move(members), std::move(absorbed),
+                       std::move(children), pair.hub, pair.rnode);
+            members.clear();
+            absorbed.clear();
+            children.clear();
+            clear_context();
+        };
 
-        // Chunked speculation: scan a run of pairs in parallel against the
-        // frozen state, then validate-and-apply serially in ranked order.
-        // A pair whose reads were invalidated by an earlier apply in the
-        // same chunk is simply rescanned live — correctness never depends
-        // on the speculation succeeding. Chunk boundaries depend only on
-        // pair sizes, never on the thread count.
-        constexpr std::size_t kChunkGates = 4096;
-        constexpr std::size_t kChunkMaxPairs = 256;
-        std::size_t cached_upto = 0;
-        std::size_t start = 0;
-        while (start < order.size()) {
-            std::size_t end = start;
-            std::size_t gates = 0;
-            while (end < order.size() &&
-                   (end == start || (gates < kChunkGates &&
-                                     end - start < kChunkMaxPairs))) {
-                gates += pairs[order[end]].gates.size();
-                ++end;
+        for (std::size_t idx : pair.gates) {
+            if (owner[idx] != -1)
+                continue; // claimed by an earlier block
+            // Extend the block across the gap since its last member. The
+            // walk grows the context in place: a failed extension emits
+            // the block, which discards the context anyway.
+            if (!members.empty() &&
+                walk_gap(members.back(), idx, pair.hub, pair.rnode,
+                         children)) {
+                absorbed.insert(absorbed.end(), pending.begin(),
+                                pending.end());
+                children.insert(children.end(), pending_children.begin(),
+                                pending_children.end());
+            } else {
+                emit();
             }
-
-            // Speculative scans only read the memo caches, so everything
-            // referencable must be filled before the parallel section.
-            for (std::size_t b = cached_upto; b < out.size(); ++b)
-                ensure_cached(b);
-            cached_upto = out.size();
-
-            const std::size_t len = end - start;
-            std::vector<ScanSpec> specs(len);
-            const std::size_t ntasks = std::min(len, 4 * pool->size());
-            support::parallel_for(*pool, ntasks, [&](std::size_t t) {
-                for (std::size_t k = t; k < len; k += ntasks)
-                    scan_pair(order[start + k], &specs[k]);
-            });
-            for (std::size_t k = 0; k < len; ++k) {
-                // Speculation outcome (thread-dependent by nature:
-                // serial runs never speculate, so this category is
-                // excluded from the count-determinism contract).
-                if (spec_valid(specs[k])) {
-                    obs::decision("aggregate.spec", "commit",
-                                  obs::arg("pair", order[start + k]),
-                                  obs::arg("blocks",
-                                           specs[k].blocks.size()));
-                    commit_spec(order[start + k], specs[k]);
-                } else {
-                    obs::decision("aggregate.spec", "invalidate",
-                                  obs::arg("pair", order[start + k]));
-                    scan_pair(order[start + k], nullptr);
-                }
-            }
-            start = end;
+            members.push_back(idx);
+            absorb_gate(idx);
         }
+        emit();
     }
 
     // ---- Iterative refinement (paper §4.2): block-level merging --------
@@ -621,92 +496,26 @@ struct Aggregator
     // complete blocks that lie between them, until a fixpoint.
 
     /**
-     * Score the merge of adjacent same-pair blocks @p a and @p b2 without
-     * mutating anything. Every mutable datum this reads lies inside the
-     * candidate window [A.window_begin(), B.window_end()]: the gap gates
-     * and their owners, the referenced tops (their windows sit strictly
-     * inside the gap), and both blocks' own content — which is what makes
-     * the commit-window intersection test in refine_phase sound.
+     * Can B (@p b2) fold into the adjacent same-pair block A (@p a)? The
+     * gap between A's last and B's first member must clear the walk
+     * against both blocks' combined context; on success pending /
+     * pending_children hold what the merge claims.
      */
     bool
-    evaluate_merge(std::size_t a, std::size_t b2, bool live,
-                   MergePlan& plan)
+    evaluate_merge(std::size_t a, std::size_t b2)
     {
         const CommBlock& A = out[a];
-        const CommBlock& B = out[b2];
-        const std::size_t lo = A.members.back();
-        const std::size_t hi = B.members.front();
-
-        touches(a, live);
-        touches(b2, live);
-        BlockContext ctx = ctx_cache[a];
-        ctx.merge(ctx_cache[b2]);
-
-        for (std::size_t j = lo + 1; j < hi; ++j) {
-            const Gate& g = c[j];
-            if (g.kind == GateKind::Barrier || is_fence(g))
-                return false;
-            if (owner[j] != -1) {
-                const std::size_t top =
-                    top_ancestor(static_cast<std::size_t>(owner[j]));
-                if (top == a || top == b2)
-                    continue; // absorbed gate of A inside the gap
-                const bool already =
-                    std::find(plan.pending_children.begin(),
-                              plan.pending_children.end(),
-                              top) != plan.pending_children.end();
-                if (already)
-                    continue;
-                if (ctx.commutes(g))
-                    continue;
-                const CommBlock& cb = out[top];
-                if (!(cb.window_begin() > lo && cb.window_end() < hi))
-                    return false;
-                const std::vector<QubitId>& tt = touches(top, live);
-                if (std::find(tt.begin(), tt.end(), A.hub) != tt.end())
-                    return false;
-                for (std::size_t sib : plan.pending_children)
-                    if (out[sib].window_begin() <= cb.window_end() &&
-                        cb.window_begin() <= out[sib].window_end())
-                        return false;
-                for (std::size_t sib : A.children)
-                    if (out[sib].window_begin() <= cb.window_end() &&
-                        cb.window_begin() <= out[sib].window_end())
-                        return false;
-                for (const auto& [node, l] : load_cache[top]) {
-                    const int parent_use =
-                        (node == A.hub_node || node == A.remote_node) ? 1
-                                                                      : 0;
-                    if (l + parent_use > opts.comm_capacity)
-                        return false;
-                }
-                plan.pending_children.push_back(top);
-                // Later push-outs must clear the nested child's gates
-                // (including its own descendants').
-                ctx.merge(ctx_cache[top]);
-                continue;
-            }
-            if (ctx.commutes(g))
-                continue;
-            const bool touches_hub = g.acts_on(A.hub);
-            if (g.is_single_qubit() && opts.absorb_local_gates) {
-                plan.pending.push_back(j);
-                ctx.absorb(g);
-            } else if (g.num_qubits >= 2 && !remote[j] && !touches_hub &&
-                       opts.absorb_local_gates) {
-                plan.pending.push_back(j);
-                ctx.absorb(g);
-            } else {
-                return false;
-            }
-        }
-        plan.ok = true;
-        return true;
+        merge_block(a);
+        merge_block(b2);
+        const bool ok = walk_gap(A.members.back(), out[b2].members.front(),
+                                 A.hub, A.remote_node, A.children);
+        clear_context();
+        return ok;
     }
 
     /** Commit: fold B and the gap into A. */
     void
-    commit_merge(std::size_t a, std::size_t b2, MergePlan& plan)
+    commit_merge(std::size_t a, std::size_t b2)
     {
         CommBlock& A = out[a];
         CommBlock& B = out[b2];
@@ -715,20 +524,19 @@ struct Aggregator
                          B.members.end());
         A.absorbed.insert(A.absorbed.end(), B.absorbed.begin(),
                           B.absorbed.end());
-        A.absorbed.insert(A.absorbed.end(), plan.pending.begin(),
-                          plan.pending.end());
+        A.absorbed.insert(A.absorbed.end(), pending.begin(), pending.end());
         std::sort(A.absorbed.begin(), A.absorbed.end());
         for (std::size_t i : B.members)
             owner[i] = a_id;
         for (std::size_t i : B.absorbed)
             owner[i] = a_id;
-        for (std::size_t i : plan.pending)
+        for (std::size_t i : pending)
             owner[i] = a_id;
         for (std::size_t ch : B.children) {
             out[ch].parent = a_id;
             A.children.push_back(ch);
         }
-        for (std::size_t ch : plan.pending_children) {
+        for (std::size_t ch : pending_children) {
             out[ch].parent = a_id;
             A.children.push_back(ch);
         }
@@ -743,51 +551,27 @@ struct Aggregator
         invalidate_cache(b2);
     }
 
-    /** Record the outcome of one refinement merge candidate. Called
-     * before commit_merge mutates the blocks, so the gain (gates folded
-     * from B plus the gap gates the plan claims) is still readable.
-     * Recorded identically by the serial and parallel apply paths —
-     * per-pair outcomes are byte-identical across thread counts (the
-     * PR 7 determinism gate), so commit/reject counts are too. */
-    void
-    note_merge(std::size_t a, std::size_t b2, const MergePlan& plan,
-               bool merged)
-    {
-        if (!obs::enabled())
-            return;
-        const CommBlock& A = out[a];
-        const CommBlock& B = out[b2];
-        obs::decision(
-            "aggregate.merge", merged ? "commit" : "reject",
-            obs::arg("hub", A.hub), obs::arg("rnode", A.remote_node),
-            obs::arg("left", a), obs::arg("right", b2),
-            obs::arg("gain_gates",
-                     merged ? B.members.size() + B.absorbed.size() +
-                                  plan.pending.size()
-                            : std::size_t{0}));
-    }
-
     bool
     try_merge(std::size_t a, std::size_t b2)
     {
-        MergePlan plan;
-        if (!evaluate_merge(a, b2, /*live=*/true, plan)) {
-            note_merge(a, b2, plan, false);
-            return false;
+        const bool merged = evaluate_merge(a, b2);
+        // Recorded before commit_merge mutates the blocks, so the gain
+        // (gates folded from B plus the gap gates claimed) is readable.
+        if (obs::enabled()) {
+            const CommBlock& A = out[a];
+            const CommBlock& B = out[b2];
+            obs::decision(
+                "aggregate.merge", merged ? "commit" : "reject",
+                obs::arg("hub", A.hub), obs::arg("rnode", A.remote_node),
+                obs::arg("left", a), obs::arg("right", b2),
+                obs::arg("gain_gates",
+                         merged ? B.members.size() + B.absorbed.size() +
+                                      pending.size()
+                                : std::size_t{0}));
         }
-        note_merge(a, b2, plan, true);
-        commit_merge(a, b2, plan);
-        return true;
-    }
-
-    bool
-    alive_pair(std::size_t a, std::size_t b2) const
-    {
-        // An earlier merge this round may have emptied a block or
-        // absorbed it as a nested child; the group lists are a
-        // round-start snapshot, so re-check.
-        return !out[a].members.empty() && !out[b2].members.empty() &&
-               out[a].parent == -1 && out[b2].parent == -1;
+        if (merged)
+            commit_merge(a, b2);
+        return merged;
     }
 
     void
@@ -795,12 +579,10 @@ struct Aggregator
     {
         if (!(opts.use_commutation && opts.absorb_local_gates))
             return;
-        const bool par = parallel();
         for (int round = 0; round < 8; ++round) {
             bool changed = false;
-            // Group alive top-level blocks by (hub, remote node). The
-            // lists are extracted in map iteration order so serial and
-            // parallel rounds walk candidates identically.
+            // Group alive top-level blocks by (hub, remote node), walked
+            // in map iteration order (sweep CSV digests depend on it).
             std::unordered_map<long, std::vector<std::size_t>> groups;
             for (std::size_t b = 0; b < out.size(); ++b) {
                 if (out[b].members.empty() || out[b].parent != -1)
@@ -813,95 +595,26 @@ struct Aggregator
             lists.reserve(groups.size());
             for (auto& [key, list] : groups) {
                 (void)key;
-                lists.push_back(std::move(list));
-            }
-            for (std::vector<std::size_t>& list : lists)
                 std::sort(list.begin(), list.end(),
                           [&](std::size_t x, std::size_t y) {
                               return out[x].window_begin() <
                                      out[y].window_begin();
                           });
-
-            if (!par) {
-                for (const std::vector<std::size_t>& list : lists)
-                    for (std::size_t i = 0; i + 1 < list.size(); ++i) {
-                        if (!alive_pair(list[i], list[i + 1]))
-                            continue;
-                        if (try_merge(list[i], list[i + 1]))
-                            changed = true;
-                    }
-            } else {
-                // Snapshot-score / serial-apply: every candidate merge is
-                // scored in parallel against the round-start state, then
-                // applied in the serial order. A candidate whose window
-                // intersects no committed merge's window saw exactly the
-                // state a live evaluation would see (all round mutations
-                // stay inside commit windows), so its plan commits as-is;
-                // otherwise it is re-scored live.
-                for (const std::vector<std::size_t>& list : lists)
-                    for (std::size_t b : list)
-                        ensure_cached(b);
-                std::vector<std::vector<MergePlan>> plans(lists.size());
-                for (std::size_t g = 0; g < lists.size(); ++g)
-                    if (lists[g].size() > 1)
-                        plans[g].resize(lists[g].size() - 1);
-                const std::size_t ntasks =
-                    std::min(lists.size(), 4 * pool->size());
-                support::parallel_for(
-                    *pool, ntasks, [&](std::size_t t) {
-                        for (std::size_t g = t; g < lists.size();
-                             g += ntasks)
-                            for (std::size_t i = 0;
-                                 i + 1 < lists[g].size(); ++i)
-                                evaluate_merge(lists[g][i],
-                                               lists[g][i + 1],
-                                               /*live=*/false,
-                                               plans[g][i]);
-                    });
-
-                std::vector<std::pair<std::size_t, std::size_t>> commits;
-                for (std::size_t g = 0; g < lists.size(); ++g)
-                    for (std::size_t i = 0; i + 1 < lists[g].size(); ++i) {
-                        const std::size_t a = lists[g][i];
-                        const std::size_t b2 = lists[g][i + 1];
-                        if (!alive_pair(a, b2))
-                            continue;
-                        const std::size_t wlo = out[a].window_begin();
-                        const std::size_t whi = out[b2].window_end();
-                        bool dirty = false;
-                        for (const auto& [clo, chi] : commits)
-                            if (clo <= whi && wlo <= chi) {
-                                dirty = true;
-                                break;
-                            }
-                        bool merged = false;
-                        if (!dirty) {
-                            note_merge(a, b2, plans[g][i],
-                                       plans[g][i].ok);
-                            if (plans[g][i].ok) {
-                                commit_merge(a, b2, plans[g][i]);
-                                merged = true;
-                            }
-                        } else {
-                            // A committed merge dirtied this window:
-                            // the snapshot score is stale, re-evaluate
-                            // live. The "rescore" verdict only exists
-                            // in parallel runs (serial apply is never
-                            // dirty) and is excluded from the
-                            // count-determinism contract; the
-                            // commit/reject it leads to is not.
-                            obs::decision("aggregate.merge", "rescore",
-                                          obs::arg("left", a),
-                                          obs::arg("right", b2));
-                            if (try_merge(a, b2))
-                                merged = true;
-                        }
-                        if (merged) {
-                            changed = true;
-                            commits.emplace_back(wlo, whi);
-                        }
-                    }
+                lists.push_back(std::move(list));
             }
+            for (const std::vector<std::size_t>& list : lists)
+                for (std::size_t i = 0; i + 1 < list.size(); ++i) {
+                    // An earlier merge this round may have emptied a
+                    // block or nested it; the lists are a round-start
+                    // snapshot, so re-check.
+                    const std::size_t a = list[i];
+                    const std::size_t b2 = list[i + 1];
+                    if (out[a].members.empty() || out[b2].members.empty() ||
+                        out[a].parent != -1 || out[b2].parent != -1)
+                        continue;
+                    if (try_merge(a, b2))
+                        changed = true;
+                }
             if (!changed)
                 break;
         }
@@ -978,8 +691,10 @@ struct Aggregator
             return std::move(out);
         }
 
+        build_tables();
         rank_pairs();
-        scan_phase();
+        for (std::size_t pi : order)
+            scan_pair(pairs[pi]);
         refine_phase();
         return sorted_output();
     }
@@ -989,9 +704,9 @@ struct Aggregator
 
 std::vector<CommBlock>
 aggregate(const qir::Circuit& c, const hw::QubitMapping& map,
-          const AggregateOptions& opts, support::ThreadPool* pool)
+          const AggregateOptions& opts)
 {
-    Aggregator agg(c, map, opts, pool);
+    Aggregator agg(c, map, opts);
     return agg.run();
 }
 

@@ -17,6 +17,13 @@
  *  - Iterative refinement: remaining pairs are processed in descending
  *    remote-gate-count order until every remote gate is claimed.
  *
+ * Cost: a merge walks the gap between two same-pair gates, but only the
+ * gates sharing a qubit with the growing block (or a fence) can change
+ * its outcome — any other gate commutes with the whole block. The walk
+ * tests each gap gate's operands against a per-qubit mirror of the
+ * block's commutation context and reads nothing else for the gates off
+ * it; a gap holding a fence is rejected before it is walked.
+ *
  * Soundness invariant: the reordered circuit produced by
  * reorder_with_blocks() is unitary-equivalent to the input (validated in
  * the test suite).
@@ -28,10 +35,6 @@
 #include "autocomm/burst.hpp"
 #include "hw/machine.hpp"
 #include "qir/circuit.hpp"
-
-namespace autocomm::support {
-class ThreadPool;
-}
 
 namespace autocomm::pass {
 
@@ -66,14 +69,9 @@ struct AggregateOptions
  * remote multi-qubit gate lands in exactly one block; local gates may be
  * absorbed into at most one block. The input must already be decomposed
  * to one- and two-qubit gates (CCX is rejected if remote).
- *
- * When @p pool is non-null (and has more than one worker), the pair scans
- * and refinement rounds run speculatively in parallel with a serial
- * validate-and-apply step; the result is bit-identical to the serial pass.
  */
 std::vector<CommBlock> aggregate(const qir::Circuit& c,
                                  const hw::QubitMapping& map,
-                                 const AggregateOptions& opts = {},
-                                 support::ThreadPool* pool = nullptr);
+                                 const AggregateOptions& opts = {});
 
 } // namespace autocomm::pass

@@ -21,14 +21,13 @@ validate_compile_inputs(const qir::Circuit& c, const hw::QubitMapping& map,
 
 CompileResult
 compile(const qir::Circuit& c, const hw::QubitMapping& map,
-        const hw::Machine& m, const CompileOptions& opts,
-        support::ThreadPool* pool)
+        const hw::Machine& m, const CompileOptions& opts)
 {
     validate_compile_inputs(c, map, m);
     std::vector<CommBlock> blocks;
     {
         obs::Span span("aggregate");
-        blocks = aggregate(c, map, opts.aggregate, pool);
+        blocks = aggregate(c, map, opts.aggregate);
     }
     return compile_aggregated(c, map, m, std::move(blocks), opts);
 }

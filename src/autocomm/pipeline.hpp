@@ -56,16 +56,9 @@ struct CompileResult
 /**
  * Run the full AutoComm pipeline. @p c must be decomposed to 1q/2q gates.
  * @p map must be valid for @p m (see QubitMapping::validate).
- *
- * @p pool, when non-null, parallelizes the aggregation pass (see
- * pass::aggregate); the compiled result is bit-identical either way. The
- * pool is a separate parameter rather than a CompileOptions field because
- * options structs are hashed into cache keys and a transient pool pointer
- * must never reach one.
  */
 CompileResult compile(const qir::Circuit& c, const hw::QubitMapping& map,
-                      const hw::Machine& m, const CompileOptions& opts = {},
-                      support::ThreadPool* pool = nullptr);
+                      const hw::Machine& m, const CompileOptions& opts = {});
 
 /**
  * The stages of compile() after aggregation: assign schemes to @p blocks,

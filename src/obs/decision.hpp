@@ -15,13 +15,9 @@
  * heap allocation), nothing recorded here influences compilation, and
  * sweep CSVs are byte-identical with decisions on or off.
  *
- * Determinism: every category instrumented at a serial commit point
- * records identical per-cell counts at any thread count (pinned in
- * tests/test_decision.cpp). Two categories are inherently
- * thread-dependent and documented as such: `aggregate.spec`
- * (speculation only exists in parallel runs) and the
- * `aggregate.merge`/`rescore` verdict (dirty re-evaluation only happens
- * when parallel commits overlap).
+ * Determinism: every category is instrumented at a serial commit point,
+ * so every decision counter is identical at any thread count (pinned in
+ * tests/test_decision.cpp, with no exemptions).
  *
  * Categories and verdicts must be string literals (static storage);
  * payload keys too. Dynamic values go in the arg payloads.

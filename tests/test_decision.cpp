@@ -9,11 +9,9 @@
  *    bounded newest-first payload samples);
  *  - flight-recorder ring rotation keeps the newest decision payloads
  *    while the per-verdict counts stay exact (counter-backed);
- *  - per-cell decision counts are identical at any sweep thread count
- *    for the deterministic categories (everything except the
- *    speculation-only aggregate.spec / aggregate.merge "rescore"), and
- *    so are the global aggregation counts (aggregation runs once per
- *    shared group, outside any cell scope);
+ *  - per-cell decision counts are identical at any sweep thread count,
+ *    for every category, and so are the global aggregation counts
+ *    (aggregation runs once per shared group, outside any cell scope);
  *  - one pinned-payload test per instrumented layer: aggregation
  *    (burst accept), scheduler (scheme choice + purification rounds),
  *    multilevel (FM apply with its gain), routing (max-fidelity vs BFS
@@ -362,16 +360,6 @@ TEST(DecisionLayers, RoutingDetourRecordsBothRouteStrings)
 
 // --------------------------------------------------------- determinism
 
-/** True for the decision counters whose counts may legitimately depend
- * on the thread count: speculative-scan events never fire serially, and
- * "rescore" marks dirty re-evaluations of the parallel merge pass. */
-bool
-thread_dependent(const std::string& counter)
-{
-    return counter.rfind("decision.aggregate.spec.", 0) == 0 ||
-           counter == "decision.aggregate.merge.rescore";
-}
-
 TEST(DecisionDeterminism, PerCellCountsIdenticalAcrossThreadCounts)
 {
     driver::SweepGrid grid;
@@ -404,15 +392,13 @@ TEST(DecisionDeterminism, PerCellCountsIdenticalAcrossThreadCounts)
         for (const std::string& scope : reg.scope_names())
             for (const std::string& name :
                  reg.scoped_counter_names(scope))
-                if (name.rfind("decision.", 0) == 0 &&
-                    !thread_dependent(name))
+                if (name.rfind("decision.", 0) == 0)
                     out.cells[scope][name] =
                         reg.find_scoped_counter(scope, name)->value();
         // Aggregation is a shared sweep stage, so its decisions carry
         // no cell scope; compare them through the global counters.
         for (const std::string& name : reg.counter_names())
-            if (name.rfind("decision.aggregate.", 0) == 0 &&
-                !thread_dependent(name))
+            if (name.rfind("decision.aggregate.", 0) == 0)
                 out.aggregate[name] = reg.find_counter(name)->value();
         return out;
     };
