@@ -37,10 +37,15 @@
 #include <string>
 #include <vector>
 
+#include "autocomm/pipeline.hpp"
+#include "baseline/ferrari.hpp"
 #include "common.hpp"
+#include "driver/sweep.hpp"
 #include "obs/decision.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "partition/oee.hpp"
+#include "qir/decompose.hpp"
 #include "qir/qasm.hpp"
 #include "support/log.hpp"
 #include "support/threadpool.hpp"

@@ -29,6 +29,7 @@
 #include "obs/trace.hpp"
 #include "partition/interaction_graph.hpp"
 #include "partition/mapper.hpp"
+#include "qir/decompose.hpp"
 #include "support/csv.hpp"
 #include "support/log.hpp"
 #include "support/table.hpp"

@@ -2,10 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <map>
-#include <utility>
 
-#include "cache/store.hpp"
 #include "driver/sweep.hpp"
 #include "obs/decision.hpp"
 #include "obs/export.hpp"
@@ -14,40 +11,6 @@
 
 namespace autocomm::bench {
 
-Instance
-prepare(const circuits::BenchmarkSpec& spec, std::uint64_t seed)
-{
-    driver::PreparedCell p = driver::prepare_cell(spec, seed);
-    return Instance{spec, std::move(p.circuit), p.machine,
-                    std::move(p.mapping)};
-}
-
-RowResult
-run_row(const Instance& inst, const pass::CompileOptions& autocomm_opts)
-{
-    RowResult r{
-        pass::compile(inst.circuit, inst.mapping, inst.machine,
-                      autocomm_opts),
-        baseline::compile_ferrari(inst.circuit, inst.mapping, inst.machine),
-        {},
-    };
-    r.factors = baseline::relative_factors(r.ferrari, r.autocomm);
-    return r;
-}
-
-bool
-fast_mode()
-{
-    const char* v = std::getenv("AUTOCOMM_FAST");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-std::vector<circuits::BenchmarkSpec>
-suite()
-{
-    return fast_mode() ? circuits::small_suite() : circuits::paper_suite();
-}
-
 std::optional<std::string>
 csv_dir()
 {
@@ -55,72 +18,6 @@ csv_dir()
     if (v == nullptr || v[0] == '\0')
         return std::nullopt;
     return std::string(v);
-}
-
-std::vector<driver::SweepRow>
-run_sweep_cached(const std::vector<driver::SweepCell>& cells,
-                 driver::SweepOptions opts, const std::string& cache_dir,
-                 std::string* stats_line)
-{
-    // One store per (process, directory): figure binaries issue several
-    // sweeps against one store, and an explicit --cache-dir may name a
-    // different directory than AUTOCOMM_CACHE_DIR does. A directory
-    // that failed to open is remembered too, so the figure binaries
-    // attempt (and warn about) an unusable dir once, not per sweep.
-    static std::map<std::string, std::optional<cache::ResultStore>>
-        stores;
-
-    std::string dir = cache_dir;
-    if (dir.empty()) {
-        const char* env = std::getenv("AUTOCOMM_CACHE_DIR");
-        if (env != nullptr && env[0] != '\0')
-            dir = env;
-    }
-    cache::ResultStore* store = nullptr;
-    if (!dir.empty()) {
-        auto it = stores.find(dir);
-        if (it == stores.end()) {
-            it = stores.emplace(dir, std::nullopt).first;
-            try {
-                it->second.emplace(dir);
-            } catch (const support::UserError& e) {
-                // An unusable cache dir should not take the figure run
-                // down with it; compile uncached instead.
-                support::warn("%s; continuing without the result cache",
-                              e.what());
-            }
-        }
-        if (it->second.has_value())
-            store = &*it->second;
-    }
-
-    if (store != nullptr)
-        opts.store = store;
-    std::vector<driver::SweepRow> rows = driver::run_sweep(cells, opts);
-    if (store != nullptr) {
-        store->flush();
-        support::inform("cache %s: %s", store->dir().c_str(),
-                        store->stats_line().c_str());
-    }
-    if (stats_line != nullptr)
-        *stats_line = store != nullptr ? store->stats_line() : "";
-    return rows;
-}
-
-bool
-parse_cache_flag(CacheCli& cli, int argc, char** argv, int& i)
-{
-    if (std::strcmp(argv[i], "--cache-dir") == 0) {
-        if (i + 1 >= argc)
-            support::fatal("--cache-dir requires a value");
-        cli.dir = argv[++i];
-        return true;
-    }
-    if (std::strcmp(argv[i], "--cache-stats") == 0) {
-        cli.stats = true;
-        return true;
-    }
-    return false;
 }
 
 bool

@@ -1,11 +1,8 @@
 /**
  * @file
- * Shared infrastructure for the paper-reproduction bench binaries: build a
- * benchmark instance (generate, decompose, map with OEE), run AutoComm and
- * the baselines on it, and cache results across binaries of one process.
- *
- * Every bench binary prints the corresponding paper table/figure data to
- * stdout and (optionally, via AUTOCOMM_CSV_DIR) dumps a CSV per figure.
+ * Shared CLI plumbing for the bench binaries: the AUTOCOMM_CSV_DIR
+ * output directory and the observer flags (--trace-out, --stats-out,
+ * --explain-out, ...).
  */
 #pragma once
 
@@ -14,83 +11,12 @@
 #include <optional>
 #include <string>
 
-#include "autocomm/pipeline.hpp"
-#include "baseline/ferrari.hpp"
-#include "baseline/gptp.hpp"
-#include "circuits/library.hpp"
-#include "driver/sweep.hpp"
-#include "hw/machine.hpp"
 #include "obs/sampler.hpp"
-#include "partition/oee.hpp"
-#include "qir/decompose.hpp"
 
 namespace autocomm::bench {
 
-/** A fully prepared benchmark instance. */
-struct Instance
-{
-    circuits::BenchmarkSpec spec;
-    qir::Circuit circuit;   ///< decomposed to the CX+1q basis
-    hw::Machine machine;
-    hw::QubitMapping mapping; ///< OEE
-};
-
-/** Generate + decompose + map one suite row. */
-Instance prepare(const circuits::BenchmarkSpec& spec,
-                 std::uint64_t seed = 2022);
-
-/** AutoComm + Ferrari baseline results for one instance. */
-struct RowResult
-{
-    pass::CompileResult autocomm;
-    pass::CompileResult ferrari;
-    baseline::RelativeFactors factors;
-};
-
-/** Run the full AutoComm pipeline and the Ferrari baseline. */
-RowResult run_row(const Instance& inst,
-                  const pass::CompileOptions& autocomm_opts = {});
-
-/**
- * True when the AUTOCOMM_FAST environment variable is set: benches then
- * run the reduced suite (100-qubit rows) for quick iteration.
- */
-bool fast_mode();
-
-/** The suite honoring fast_mode(). */
-std::vector<circuits::BenchmarkSpec> suite();
-
 /** CSV output directory from AUTOCOMM_CSV_DIR, if set. */
 std::optional<std::string> csv_dir();
-
-/**
- * driver::run_sweep through a persistent result store: @p cache_dir
- * when non-empty (the table binaries' --cache-dir flag), else the
- * directory named by the AUTOCOMM_CACHE_DIR environment variable — the
- * cached path shared by the figure/table binaries. With neither this is
- * exactly run_sweep. Stores are opened once per process and directory,
- * flushed after every call, and the hit/miss counters are reported via
- * inform(); when @p stats_line is non-null it additionally receives the
- * stats_line() text ("" when no store is in use) for --cache-stats
- * style reporting.
- */
-std::vector<driver::SweepRow>
-run_sweep_cached(const std::vector<driver::SweepCell>& cells,
-                 driver::SweepOptions opts = {},
-                 const std::string& cache_dir = {},
-                 std::string* stats_line = nullptr);
-
-/**
- * Shared --cache-dir/--cache-stats CLI handling for the table/figure
- * binaries: recognizes the two flags (mutating @p i past any value) and
- * returns true; false means the argument is not a cache flag.
- */
-struct CacheCli
-{
-    std::string dir;
-    bool stats = false;
-};
-bool parse_cache_flag(CacheCli& cli, int argc, char** argv, int& i);
 
 /**
  * Shared --trace-out/--stats-out/--explain-out/--explain-top/--ring/

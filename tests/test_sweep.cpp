@@ -435,13 +435,19 @@ TEST(Sweep, MemoizedSweepMatchesDirectRunCell)
     grid.link_fidelities = {0.95};
     grid.target_fidelities = {0.97};
     grid.option_sets = driver::builtin_option_sets();
+    // A non-builtin arm that flips two schedule flags at once; it shares
+    // default's AggregateOptions, so it adds no aggregation group.
+    driver::OptionSet greedy{"greedy", {}};
+    greedy.opts.schedule.epr_prefetch = false;
+    greedy.opts.schedule.tp_fusion = false;
+    grid.option_sets.push_back(greedy);
     grid.with_baseline = true;
     std::vector<SweepCell> cells = grid.cells();
-    ASSERT_EQ(cells.size(), 20u);
+    ASSERT_EQ(cells.size(), 24u);
     // 0-2 is not a link of the 4-node ring, so this cell is a
     // deterministic error row that shares its program, mapping, and
     // aggregation groups with healthy cells.
-    SweepCell bad = cells[5];
+    SweepCell bad = cells[6];
     ASSERT_EQ(bad.label(), "QFT-12-4+ring~f0.95~t0.97/default");
     bad.link_fidelity_overrides = {{0, 2, 0.9}};
     cells.push_back(bad);
