@@ -1,8 +1,6 @@
 #include "cache/json.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
 
 #include "support/log.hpp"
 
@@ -84,57 +82,44 @@ Json::object()
 
 // ---- inspection --------------------------------------------------------
 
-bool
-Json::to_bool() const
-{
-    if (type_ != Type::Bool)
-        support::fatal("Json: expected a boolean");
-    return bool_;
-}
-
-// The conversions reject range overflow (ERANGE) rather than saturate:
-// an out-of-range literal in a store line is corruption and must take
-// the corrupt-entry path, not silently become ULLONG_MAX or inf.
+// The conversions go through JsonReader, so a tree literal is checked
+// against the same grammar and range rules as a value read in place: an
+// out-of-range literal in a store line is corruption and must take the
+// corrupt-entry path, not silently become ULLONG_MAX or inf.
 
 double
 Json::to_double() const
 {
-    if (type_ != Type::Number)
-        support::fatal("Json: expected a number");
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(scalar_.c_str(), &end);
-    if (end == scalar_.c_str() || *end != '\0' || errno == ERANGE)
-        support::fatal("Json: bad number literal \"%s\"", scalar_.c_str());
+    JsonReader r(number_text());
+    const double v = r.read_double();
+    r.finish();
     return v;
 }
 
 long long
 Json::to_int() const
 {
-    if (type_ != Type::Number)
-        support::fatal("Json: expected a number");
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(scalar_.c_str(), &end, 10);
-    if (end == scalar_.c_str() || *end != '\0' || errno == ERANGE)
-        support::fatal("Json: bad integer literal \"%s\"", scalar_.c_str());
+    JsonReader r(number_text());
+    const long long v = r.read_int();
+    r.finish();
     return v;
 }
 
 unsigned long long
 Json::to_uint() const
 {
+    JsonReader r(number_text());
+    const unsigned long long v = r.read_uint();
+    r.finish();
+    return v;
+}
+
+const std::string&
+Json::number_text() const
+{
     if (type_ != Type::Number)
         support::fatal("Json: expected a number");
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(scalar_.c_str(), &end, 10);
-    if (end == scalar_.c_str() || *end != '\0' || errno == ERANGE ||
-        scalar_.front() == '-')
-        support::fatal("Json: bad unsigned literal \"%s\"",
-                       scalar_.c_str());
-    return v;
+    return scalar_;
 }
 
 const std::string&
@@ -272,300 +257,357 @@ Json::dump() const
     return out;
 }
 
+// ---- reader ------------------------------------------------------------
+
+namespace {
+
+/** Append code point @p cp as UTF-8. */
+void
+utf8(unsigned cp, std::string& out)
+{
+    if (cp < 0x80) {
+        out += static_cast<char>(cp);
+    } else if (cp < 0x800) {
+        out += static_cast<char>(0xC0 | (cp >> 6));
+        out += static_cast<char>(0x80 | (cp & 0x3F));
+    } else if (cp < 0x10000) {
+        out += static_cast<char>(0xE0 | (cp >> 12));
+        out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+        out += static_cast<char>(0x80 | (cp & 0x3F));
+    } else {
+        out += static_cast<char>(0xF0 | (cp >> 18));
+        out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+        out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+        out += static_cast<char>(0x80 | (cp & 0x3F));
+    }
+}
+
+/** Value of hex digit @p c, or -1. */
+int
+hex_digit(char c)
+{
+    if (c >= '0' && c <= '9')
+        return c - '0';
+    if (c >= 'a' && c <= 'f')
+        return c - 'a' + 10;
+    if (c >= 'A' && c <= 'F')
+        return c - 'A' + 10;
+    return -1;
+}
+
+bool
+is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/** @p literal (grammar-checked) converted whole to T, or UserError. */
+template <class T>
+T
+convert(std::string_view literal, const char* what)
+{
+    T v{};
+    const char* last = literal.data() + literal.size();
+    const auto [end, ec] = std::from_chars(literal.data(), last, v);
+    if (ec != std::errc{} || end != last)
+        support::fatal("Json: bad %s literal \"%.*s\"", what,
+                       static_cast<int>(literal.size()), literal.data());
+    return v;
+}
+
+} // namespace
+
+void
+JsonReader::fail(const char* what) const
+{
+    support::fatal("Json: %s at offset %zu", what, pos_);
+}
+
+void
+JsonReader::skip_ws()
+{
+    while (pos_ < text_.size() &&
+           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+            text_[pos_] == '\n' || text_[pos_] == '\r'))
+        ++pos_;
+}
+
+void
+JsonReader::expect(char c)
+{
+    if (!consume(c))
+        support::fatal("Json: expected '%c' at offset %zu", c, pos_);
+}
+
+bool
+JsonReader::consume(char c)
+{
+    skip_ws();
+    if (pos_ < text_.size() && text_[pos_] == c) {
+        ++pos_;
+        return true;
+    }
+    return false;
+}
+
+bool
+JsonReader::next_or_close(char close)
+{
+    if (consume(','))
+        return true;
+    if (consume(close))
+        return false;
+    support::fatal("Json: expected ',' or '%c' at offset %zu", close, pos_);
+}
+
+void
+JsonReader::enter()
+{
+    if (++depth_ > kMaxDepth)
+        fail("nesting too deep");
+}
+
+void
+JsonReader::finish()
+{
+    skip_ws();
+    if (pos_ != text_.size())
+        fail("trailing garbage");
+}
+
+Json::Type
+JsonReader::peek()
+{
+    skip_ws();
+    if (pos_ >= text_.size())
+        fail("unexpected end of input");
+    switch (text_[pos_]) {
+    case 'n': return Json::Type::Null;
+    case 't':
+    case 'f': return Json::Type::Bool;
+    case '"': return Json::Type::String;
+    case '[': return Json::Type::Array;
+    case '{': return Json::Type::Object;
+    default:
+        if (text_[pos_] == '-' || is_digit(text_[pos_]))
+            return Json::Type::Number;
+        fail("unexpected character");
+    }
+}
+
+void
+JsonReader::read_null()
+{
+    skip_ws();
+    if (text_.substr(pos_, 4) != "null")
+        fail("expected null");
+    pos_ += 4;
+}
+
+bool
+JsonReader::read_bool()
+{
+    skip_ws();
+    if (text_.substr(pos_, 4) == "true") {
+        pos_ += 4;
+        return true;
+    }
+    if (text_.substr(pos_, 5) == "false") {
+        pos_ += 5;
+        return false;
+    }
+    fail("expected a boolean");
+}
+
+std::string
+JsonReader::read_string()
+{
+    expect('"');
+    std::string out;
+    const auto hex4 = [this] {
+        unsigned v = 0;
+        for (int i = 0; i < 4; ++i, ++pos_) {
+            if (pos_ >= text_.size())
+                fail("truncated \\u escape");
+            const int d = hex_digit(text_[pos_]);
+            if (d < 0)
+                fail("bad \\u escape");
+            v = (v << 4) | static_cast<unsigned>(d);
+        }
+        return v;
+    };
+    while (true) {
+        const std::size_t start = pos_;
+        while (pos_ < text_.size() && text_[pos_] != '"' &&
+               text_[pos_] != '\\')
+            ++pos_;
+        out.append(text_, start, pos_ - start);
+        if (pos_ >= text_.size())
+            fail("unterminated string");
+        if (text_[pos_++] == '"')
+            return out;
+        if (pos_ >= text_.size())
+            fail("truncated escape");
+        switch (text_[pos_++]) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u': {
+            unsigned cp = hex4();
+            if (cp >= 0xD800 && cp < 0xDC00) {
+                // High surrogate: require the paired low surrogate.
+                if (text_.substr(pos_, 2) != "\\u")
+                    fail("lone high surrogate");
+                pos_ += 2;
+                const unsigned lo = hex4();
+                if (lo < 0xDC00 || lo > 0xDFFF)
+                    fail("bad low surrogate");
+                cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+            } else if (cp >= 0xDC00 && cp < 0xE000) {
+                fail("lone low surrogate");
+            }
+            utf8(cp, out);
+            break;
+        }
+        default:
+            --pos_;
+            fail("unknown escape");
+        }
+    }
+}
+
+std::string_view
+JsonReader::read_number()
+{
+    // RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+    skip_ws();
+    const std::size_t start = pos_;
+    const auto digits = [this] {
+        const std::size_t from = pos_;
+        while (pos_ < text_.size() && is_digit(text_[pos_]))
+            ++pos_;
+        return pos_ > from;
+    };
+    const auto at = [this](char c) {
+        return pos_ < text_.size() && text_[pos_] == c;
+    };
+    if (at('-'))
+        ++pos_;
+    if (at('0'))
+        ++pos_;
+    else if (!digits())
+        fail("bad number literal");
+    if (at('.')) {
+        ++pos_;
+        if (!digits())
+            fail("bad number literal");
+    }
+    if (at('e') || at('E')) {
+        ++pos_;
+        if (at('+') || at('-'))
+            ++pos_;
+        if (!digits())
+            fail("bad number literal");
+    }
+    return text_.substr(start, pos_ - start);
+}
+
+double
+JsonReader::read_double()
+{
+    return convert<double>(read_number(), "number");
+}
+
+long long
+JsonReader::read_int()
+{
+    return convert<long long>(read_number(), "integer");
+}
+
+unsigned long long
+JsonReader::read_uint()
+{
+    return convert<unsigned long long>(read_number(), "unsigned");
+}
+
+void
+JsonReader::skip()
+{
+    switch (peek()) {
+    case Json::Type::Null: read_null(); return;
+    case Json::Type::Bool: read_bool(); return;
+    case Json::Type::Number: read_number(); return;
+    case Json::Type::String: read_string(); return;
+    case Json::Type::Array: read_array([this] { skip(); }); return;
+    case Json::Type::Object:
+        read_object([this](std::string_view) { skip(); });
+        return;
+    }
+}
+
+std::string_view
+JsonReader::raw()
+{
+    skip_ws();
+    const std::size_t start = pos_;
+    skip();
+    return text_.substr(start, pos_ - start);
+}
+
 // ---- parse -------------------------------------------------------------
 
 namespace {
 
-/** Recursive-descent JSON parser over a borrowed string. */
-struct Parser
+Json
+build(JsonReader& r)
 {
-    /** Nesting bound: our documents are ~4 deep; a corrupt segment line
-     * of repeated '[' must fail as malformed input, not blow the
-     * stack. */
-    static constexpr int kMaxDepth = 128;
-
-    const std::string& text;
-    std::size_t pos = 0;
-    std::string error;
-    int depth = 0;
-
-    bool
-    fail(const std::string& what)
-    {
-        if (error.empty())
-            error = support::strprintf("%s at offset %zu", what.c_str(),
-                                       pos);
-        return false;
+    switch (r.peek()) {
+    case Json::Type::Null:
+        r.read_null();
+        return Json::null();
+    case Json::Type::Bool:
+        return Json::boolean(r.read_bool());
+    case Json::Type::Number:
+        return Json::number_literal(std::string(r.read_number()));
+    case Json::Type::String:
+        return Json::string(r.read_string());
+    case Json::Type::Array: {
+        Json arr = Json::array();
+        r.read_array([&] { arr.push_back(build(r)); });
+        return arr;
     }
-
-    void
-    skip_ws()
-    {
-        while (pos < text.size() &&
-               (text[pos] == ' ' || text[pos] == '\t' ||
-                text[pos] == '\n' || text[pos] == '\r'))
-            ++pos;
+    case Json::Type::Object: {
+        Json obj = Json::object();
+        r.read_object([&](std::string_view key) {
+            std::string k(key);
+            obj.set(std::move(k), build(r));
+        });
+        return obj;
     }
-
-    bool
-    literal(const char* word)
-    {
-        for (const char* p = word; *p; ++p, ++pos)
-            if (pos >= text.size() || text[pos] != *p)
-                return fail(support::strprintf("expected \"%s\"", word));
-        return true;
     }
-
-    /** Append code point @p cp as UTF-8. */
-    void
-    utf8(unsigned cp, std::string& out)
-    {
-        if (cp < 0x80) {
-            out += static_cast<char>(cp);
-        } else if (cp < 0x800) {
-            out += static_cast<char>(0xC0 | (cp >> 6));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
-        } else if (cp < 0x10000) {
-            out += static_cast<char>(0xE0 | (cp >> 12));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
-        } else {
-            out += static_cast<char>(0xF0 | (cp >> 18));
-            out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
-        }
-    }
-
-    bool
-    hex4(unsigned& out)
-    {
-        out = 0;
-        for (int i = 0; i < 4; ++i, ++pos) {
-            if (pos >= text.size())
-                return fail("truncated \\u escape");
-            const char c = text[pos];
-            out <<= 4;
-            if (c >= '0' && c <= '9')
-                out |= static_cast<unsigned>(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                out |= static_cast<unsigned>(c - 'a' + 10);
-            else if (c >= 'A' && c <= 'F')
-                out |= static_cast<unsigned>(c - 'A' + 10);
-            else
-                return fail("bad \\u escape");
-        }
-        return true;
-    }
-
-    bool
-    parse_string(std::string& out)
-    {
-        if (pos >= text.size() || text[pos] != '"')
-            return fail("expected '\"'");
-        ++pos;
-        while (true) {
-            if (pos >= text.size())
-                return fail("unterminated string");
-            const char c = text[pos];
-            if (c == '"') {
-                ++pos;
-                return true;
-            }
-            if (c != '\\') {
-                out += c;
-                ++pos;
-                continue;
-            }
-            ++pos;
-            if (pos >= text.size())
-                return fail("truncated escape");
-            const char e = text[pos];
-            ++pos;
-            switch (e) {
-            case '"': out += '"'; break;
-            case '\\': out += '\\'; break;
-            case '/': out += '/'; break;
-            case 'b': out += '\b'; break;
-            case 'f': out += '\f'; break;
-            case 'n': out += '\n'; break;
-            case 'r': out += '\r'; break;
-            case 't': out += '\t'; break;
-            case 'u': {
-                unsigned cp = 0;
-                if (!hex4(cp))
-                    return false;
-                if (cp >= 0xD800 && cp < 0xDC00) {
-                    // High surrogate: require the paired low surrogate.
-                    if (pos + 1 >= text.size() || text[pos] != '\\' ||
-                        text[pos + 1] != 'u')
-                        return fail("lone high surrogate");
-                    pos += 2;
-                    unsigned lo = 0;
-                    if (!hex4(lo))
-                        return false;
-                    if (lo < 0xDC00 || lo > 0xDFFF)
-                        return fail("bad low surrogate");
-                    cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                } else if (cp >= 0xDC00 && cp < 0xE000) {
-                    return fail("lone low surrogate");
-                }
-                utf8(cp, out);
-                break;
-            }
-            default:
-                return fail("unknown escape");
-            }
-        }
-    }
-
-    bool
-    parse_number(Json& out)
-    {
-        const std::size_t start = pos;
-        if (pos < text.size() && text[pos] == '-')
-            ++pos;
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-                text[pos] == '+' || text[pos] == '-'))
-            ++pos;
-        if (pos == start)
-            return fail("expected a number");
-        const std::string literal = text.substr(start, pos - start);
-        // Validate eagerly so number-shaped garbage fails at parse time.
-        char* end = nullptr;
-        (void)std::strtod(literal.c_str(), &end);
-        if (end == literal.c_str() || *end != '\0') {
-            pos = start;
-            return fail("bad number literal");
-        }
-        out = Json::number_literal(literal);
-        return true;
-    }
-
-    bool
-    parse_value(Json& out)
-    {
-        if (++depth > kMaxDepth)
-            return fail("nesting too deep");
-        const bool ok = parse_value_inner(out);
-        --depth;
-        return ok;
-    }
-
-    bool
-    parse_value_inner(Json& out)
-    {
-        skip_ws();
-        if (pos >= text.size())
-            return fail("unexpected end of input");
-        const char c = text[pos];
-        if (c == 'n') {
-            out = Json::null();
-            return literal("null");
-        }
-        if (c == 't') {
-            out = Json::boolean(true);
-            return literal("true");
-        }
-        if (c == 'f') {
-            out = Json::boolean(false);
-            return literal("false");
-        }
-        if (c == '"') {
-            std::string s;
-            if (!parse_string(s))
-                return false;
-            out = Json::string(std::move(s));
-            return true;
-        }
-        if (c == '[') {
-            ++pos;
-            out = Json::array();
-            skip_ws();
-            if (pos < text.size() && text[pos] == ']') {
-                ++pos;
-                return true;
-            }
-            while (true) {
-                Json item;
-                if (!parse_value(item))
-                    return false;
-                out.push_back(std::move(item));
-                skip_ws();
-                if (pos >= text.size())
-                    return fail("unterminated array");
-                if (text[pos] == ',') {
-                    ++pos;
-                    continue;
-                }
-                if (text[pos] == ']') {
-                    ++pos;
-                    return true;
-                }
-                return fail("expected ',' or ']'");
-            }
-        }
-        if (c == '{') {
-            ++pos;
-            out = Json::object();
-            skip_ws();
-            if (pos < text.size() && text[pos] == '}') {
-                ++pos;
-                return true;
-            }
-            while (true) {
-                skip_ws();
-                std::string key;
-                if (!parse_string(key))
-                    return false;
-                skip_ws();
-                if (pos >= text.size() || text[pos] != ':')
-                    return fail("expected ':'");
-                ++pos;
-                Json value;
-                if (!parse_value(value))
-                    return false;
-                out.set(std::move(key), std::move(value));
-                skip_ws();
-                if (pos >= text.size())
-                    return fail("unterminated object");
-                if (text[pos] == ',') {
-                    ++pos;
-                    continue;
-                }
-                if (text[pos] == '}') {
-                    ++pos;
-                    return true;
-                }
-                return fail("expected ',' or '}'");
-            }
-        }
-        return parse_number(out);
-    }
-};
+    return Json{};
+}
 
 } // namespace
 
 std::optional<Json>
-Json::parse(const std::string& text, std::string* error)
+Json::parse(std::string_view text, std::string* error)
 {
-    Parser p{text, 0, {}, 0};
-    Json out;
-    if (!p.parse_value(out)) {
+    try {
+        JsonReader r(text);
+        Json doc = build(r);
+        r.finish();
+        return doc;
+    } catch (const support::UserError& e) {
         if (error)
-            *error = p.error;
+            *error = e.what();
         return std::nullopt;
     }
-    p.skip_ws();
-    if (p.pos != text.size()) {
-        if (error)
-            *error = support::strprintf("trailing garbage at offset %zu",
-                                        p.pos);
-        return std::nullopt;
-    }
-    return out;
 }
 
 } // namespace autocomm::cache

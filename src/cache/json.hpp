@@ -1,14 +1,22 @@
 /**
  * @file
- * Minimal JSON document model for the sweep-result cache's JSONL store.
+ * Minimal JSON for the sweep-result cache's JSONL store: one pull reader
+ * (JsonReader) and a small document model (Json) built on top of it.
  *
- * Deliberately tiny and dependency-free; two properties matter more than
- * generality:
+ * Deliberately tiny and dependency-free; three properties matter more
+ * than generality:
  *
- *  - **Exact numbers.** Values are kept as their literal text
- *    (Json::number_literal), so a `%.17g` double or a full-range uint64
- *    survives dump -> parse -> dump byte-identically — the warm-run CSV
- *    must equal the cold-run CSV to the byte.
+ *  - **One tokenizer.** JsonReader is the only JSON parser in the repo.
+ *    The store reads typed values straight out of a line's text with it
+ *    (no tree per row, in the spirit of simdjson's on-demand API), and
+ *    Json::parse is a thin tree builder over it for the small documents
+ *    the observer tools diff.
+ *  - **Exact numbers.** Numbers follow the RFC 8259 grammar and convert
+ *    through std::from_chars; overflow is an error, never a saturated
+ *    value. Tree values keep their literal text (Json::number_literal),
+ *    so a `%.17g` double or a full-range uint64 survives dump -> parse ->
+ *    dump byte-identically — the warm-run CSV must equal the cold-run
+ *    CSV to the byte.
  *  - **Deterministic output.** Object members keep insertion order and
  *    dump() is canonical (no whitespace), so equal documents serialize
  *    equally and store segments diff/merge cleanly.
@@ -18,6 +26,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,7 +43,7 @@ class Json
     // ---- constructors --------------------------------------------------
     static Json null();
     static Json boolean(bool v);
-    /** A number from its literal text (validated lazily by consumers). */
+    /** A number from its literal text (validated by the to_* readers). */
     static Json number_literal(std::string literal);
     static Json number(double v);             ///< %.17g (exact round trip)
     static Json number(long long v);
@@ -45,12 +54,10 @@ class Json
 
     // ---- inspection ----------------------------------------------------
     Type type() const { return type_; }
-    bool is_null() const { return type_ == Type::Null; }
     bool is_object() const { return type_ == Type::Object; }
     bool is_array() const { return type_ == Type::Array; }
 
     /** Throw support::UserError unless the value has the given shape. */
-    bool to_bool() const;
     double to_double() const;
     long long to_int() const;
     unsigned long long to_uint() const;
@@ -74,9 +81,10 @@ class Json
     /** Compact canonical serialization. */
     std::string dump() const;
 
-    /** Parse one document; nullopt (with *error set) on malformed input.
-     * Trailing garbage after the document is an error. */
-    static std::optional<Json> parse(const std::string& text,
+    /** Parse one document (a tree built by JsonReader); nullopt (with
+     * *error set) on malformed input. Trailing garbage after the
+     * document is an error. */
+    static std::optional<Json> parse(std::string_view text,
                                      std::string* error = nullptr);
 
   private:
@@ -88,6 +96,105 @@ class Json
     std::vector<std::pair<std::string, Json>> members_;
 
     void dump_to(std::string& out) const;
+    /** The number literal (throws unless number). */
+    const std::string& number_text() const;
 };
+
+/**
+ * A forward-only cursor over borrowed JSON text. Each read consumes one
+ * value and throws support::UserError (naming the byte offset) when the
+ * text there is not the expected, well-formed value; whitespace before a
+ * value is skipped. Containers nest at most kMaxDepth deep, so a corrupt
+ * line of repeated '[' fails as malformed input instead of overflowing
+ * the stack.
+ */
+class JsonReader
+{
+  public:
+    static constexpr int kMaxDepth = 128;
+
+    explicit JsonReader(std::string_view text) : text_(text) {}
+
+    /** Kind of the next value (throws at end of input or on a byte
+     * that starts no value). */
+    Json::Type peek();
+
+    void read_null();
+    bool read_bool();
+    /** A string value with escapes (and surrogate pairs) decoded. */
+    std::string read_string();
+    /** A number's literal text, checked against the RFC 8259 grammar. */
+    std::string_view read_number();
+    /** A number converted whole; out-of-range values and literals the
+     * type cannot represent (a fraction for an integer, a sign for an
+     * unsigned) throw. */
+    double read_double();
+    long long read_int();
+    unsigned long long read_uint();
+
+    /** Validate and consume one value of any type. */
+    void skip();
+    /** skip(), returning the exact text span the value occupied. */
+    std::string_view raw();
+
+    /**
+     * Consume an object, calling @p on_member(std::string_view key) once
+     * per member with the cursor on the member's value; the callback
+     * must consume that value (read it or skip() it). The key view is
+     * valid until the callback returns.
+     */
+    template <class F> void read_object(F&& on_member);
+    /** Consume an array, calling @p on_element() once per element; the
+     * callback must consume the element. */
+    template <class F> void read_array(F&& on_element);
+
+    /** Require that only whitespace remains. */
+    void finish();
+
+  private:
+    std::string_view text_;
+    std::size_t pos_ = 0;
+    int depth_ = 0;
+
+    [[noreturn]] void fail(const char* what) const;
+    void skip_ws();
+    /** Skip whitespace and consume @p c, or fail. */
+    void expect(char c);
+    /** After whitespace: consume @p c and return true if it is next. */
+    bool consume(char c);
+    /** After an element: true on ',', false on @p close, else fail. */
+    bool next_or_close(char close);
+    void enter();
+};
+
+template <class F>
+void
+JsonReader::read_object(F&& on_member)
+{
+    expect('{');
+    enter();
+    if (!consume('}')) {
+        do {
+            const std::string key = read_string();
+            expect(':');
+            on_member(std::string_view(key));
+        } while (next_or_close('}'));
+    }
+    --depth_;
+}
+
+template <class F>
+void
+JsonReader::read_array(F&& on_element)
+{
+    expect('[');
+    enter();
+    if (!consume(']')) {
+        do
+            on_element();
+        while (next_or_close(']'));
+    }
+    --depth_;
+}
 
 } // namespace autocomm::cache

@@ -1,5 +1,8 @@
 #include "cache/serialize.hpp"
 
+#include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <utility>
 
 #include "support/log.hpp"
@@ -9,6 +12,7 @@ namespace autocomm::cache {
 namespace {
 
 using ull = unsigned long long;
+using LinkMap = std::map<std::pair<NodeId, NodeId>, std::size_t>;
 
 Json
 size_array(const std::vector<std::size_t>& v)
@@ -30,7 +34,7 @@ double_array(const std::vector<double>& v)
 
 /** [[a, b, count], ...] for a per-link ledger map. */
 Json
-link_map(const std::map<std::pair<NodeId, NodeId>, std::size_t>& m)
+link_map(const LinkMap& m)
 {
     Json arr = Json::array();
     for (const auto& [link, n] : m) {
@@ -43,40 +47,6 @@ link_map(const std::map<std::pair<NodeId, NodeId>, std::size_t>& m)
     return arr;
 }
 
-std::vector<std::size_t>
-size_vector(const Json& arr)
-{
-    std::vector<std::size_t> out;
-    out.reserve(arr.items().size());
-    for (const Json& x : arr.items())
-        out.push_back(static_cast<std::size_t>(x.to_uint()));
-    return out;
-}
-
-std::vector<double>
-double_vector(const Json& arr)
-{
-    std::vector<double> out;
-    out.reserve(arr.items().size());
-    for (const Json& x : arr.items())
-        out.push_back(x.to_double());
-    return out;
-}
-
-std::map<std::pair<NodeId, NodeId>, std::size_t>
-link_map_from(const Json& arr)
-{
-    std::map<std::pair<NodeId, NodeId>, std::size_t> out;
-    for (const Json& entry : arr.items()) {
-        if (entry.items().size() != 3)
-            support::fatal("cache: malformed ledger link entry");
-        out[{static_cast<NodeId>(entry.items()[0].to_int()),
-             static_cast<NodeId>(entry.items()[1].to_int())}] =
-            static_cast<std::size_t>(entry.items()[2].to_uint());
-    }
-    return out;
-}
-
 Json
 factors_to_json(const std::optional<baseline::RelativeFactors>& f)
 {
@@ -86,17 +56,6 @@ factors_to_json(const std::optional<baseline::RelativeFactors>& f)
     obj.set("improv", Json::number(f->improv_factor));
     obj.set("lat_dec", Json::number(f->lat_dec_factor));
     return obj;
-}
-
-std::optional<baseline::RelativeFactors>
-factors_from_json(const Json& doc)
-{
-    if (doc.is_null())
-        return std::nullopt;
-    baseline::RelativeFactors f;
-    f.improv_factor = doc.at("improv").to_double();
-    f.lat_dec_factor = doc.at("lat_dec").to_double();
-    return f;
 }
 
 } // namespace
@@ -177,73 +136,181 @@ row_to_json(const driver::SweepRow& row)
     return doc;
 }
 
+namespace {
+
+/** One member an object must carry, and how to read its value. */
+struct Field
+{
+    std::string_view name;
+    std::function<void()> read;
+};
+
+/**
+ * Read the object under @p r's cursor: a member named in @p fields goes
+ * to its reader (the first occurrence wins), any other member is
+ * skipped, and a field that never appears throws — the row is
+ * incomplete, so the store treats it as corrupt. @p path prefixes the
+ * field names in that error.
+ */
+void
+read_fields(JsonReader& r, const char* path,
+            std::initializer_list<Field> fields)
+{
+    std::uint64_t seen = 0;
+    r.read_object([&](std::string_view key) {
+        std::uint64_t bit = 1;
+        for (const Field& f : fields) {
+            if (f.name == key && !(seen & bit)) {
+                seen |= bit;
+                f.read();
+                return;
+            }
+            bit <<= 1;
+        }
+        r.skip();
+    });
+    std::uint64_t bit = 1;
+    for (const Field& f : fields) {
+        if (!(seen & bit))
+            support::fatal("cache: row member \"%s%.*s\" is missing", path,
+                           static_cast<int>(f.name.size()), f.name.data());
+        bit <<= 1;
+    }
+}
+
+/** [[a, b, count], ...] back into a per-link ledger map. */
+LinkMap
+read_link_map(JsonReader& r)
+{
+    LinkMap out;
+    r.read_array([&] {
+        long long a = 0;
+        long long b = 0;
+        unsigned long long n = 0;
+        int i = 0;
+        r.read_array([&] {
+            switch (i++) {
+            case 0: a = r.read_int(); break;
+            case 1: b = r.read_int(); break;
+            case 2: n = r.read_uint(); break;
+            default: support::fatal("cache: malformed ledger link entry");
+            }
+        });
+        if (i != 3)
+            support::fatal("cache: malformed ledger link entry");
+        out[{static_cast<NodeId>(a), static_cast<NodeId>(b)}] =
+            static_cast<std::size_t>(n);
+    });
+    return out;
+}
+
+std::optional<baseline::RelativeFactors>
+read_factors(JsonReader& r, const char* path)
+{
+    if (r.peek() == Json::Type::Null) {
+        r.read_null();
+        return std::nullopt;
+    }
+    baseline::RelativeFactors f;
+    read_fields(r, path,
+                {{"improv", [&] { f.improv_factor = r.read_double(); }},
+                 {"lat_dec", [&] { f.lat_dec_factor = r.read_double(); }}});
+    return f;
+}
+
+} // namespace
+
 driver::SweepRow
-row_from_json(const Json& doc, const driver::SweepCell& cell)
+row_from_text(std::string_view text, const driver::SweepCell& cell)
 {
     driver::SweepRow row;
     row.cell = cell;
-    row.ok = doc.at("ok").to_bool();
-    row.error = doc.at("error").to_string();
+    JsonReader r(text);
+    const auto count = [&r](std::size_t& out) {
+        return [&r, &out] { out = static_cast<std::size_t>(r.read_uint()); };
+    };
+    const auto real = [&r](double& out) {
+        return [&r, &out] { out = r.read_double(); };
+    };
 
-    const Json& stats = doc.at("stats");
-    row.stats.total_gates =
-        static_cast<std::size_t>(stats.at("total_gates").to_uint());
-    row.stats.single_qubit_gates = static_cast<std::size_t>(
-        stats.at("single_qubit_gates").to_uint());
-    row.stats.two_qubit_gates =
-        static_cast<std::size_t>(stats.at("two_qubit_gates").to_uint());
-    row.stats.cx_gates =
-        static_cast<std::size_t>(stats.at("cx_gates").to_uint());
-    row.stats.three_qubit_gates =
-        static_cast<std::size_t>(stats.at("three_qubit_gates").to_uint());
-    row.stats.measurements =
-        static_cast<std::size_t>(stats.at("measurements").to_uint());
-    row.stats.depth = static_cast<std::size_t>(stats.at("depth").to_uint());
+    auto& st = row.stats;
+    const auto stats = [&] {
+        read_fields(r, "stats.",
+                    {{"total_gates", count(st.total_gates)},
+                     {"single_qubit_gates", count(st.single_qubit_gates)},
+                     {"two_qubit_gates", count(st.two_qubit_gates)},
+                     {"cx_gates", count(st.cx_gates)},
+                     {"three_qubit_gates", count(st.three_qubit_gates)},
+                     {"measurements", count(st.measurements)},
+                     {"depth", count(st.depth)}});
+    };
 
-    row.remote_cx = static_cast<std::size_t>(doc.at("remote_cx").to_uint());
+    auto& m = row.metrics;
+    const auto metrics = [&] {
+        read_fields(
+            r, "metrics.",
+            {{"remote_gates", count(m.remote_gates)},
+             {"num_blocks", count(m.num_blocks)},
+             {"total_comms", count(m.total_comms)},
+             {"tp_comms", count(m.tp_comms)},
+             {"cat_comms", count(m.cat_comms)},
+             {"peak_rem_cx", real(m.peak_rem_cx)},
+             {"per_comm_cx",
+              [&] {
+                  r.read_array(
+                      [&] { m.per_comm_cx.push_back(r.read_double()); });
+              }},
+             {"block_sizes", [&] {
+                  r.read_array([&] {
+                      m.block_sizes.push_back(
+                          static_cast<std::size_t>(r.read_uint()));
+                  });
+              }}});
+    };
 
-    const Json& metrics = doc.at("metrics");
-    row.metrics.remote_gates =
-        static_cast<std::size_t>(metrics.at("remote_gates").to_uint());
-    row.metrics.num_blocks =
-        static_cast<std::size_t>(metrics.at("num_blocks").to_uint());
-    row.metrics.total_comms =
-        static_cast<std::size_t>(metrics.at("total_comms").to_uint());
-    row.metrics.tp_comms =
-        static_cast<std::size_t>(metrics.at("tp_comms").to_uint());
-    row.metrics.cat_comms =
-        static_cast<std::size_t>(metrics.at("cat_comms").to_uint());
-    row.metrics.peak_rem_cx = metrics.at("peak_rem_cx").to_double();
-    row.metrics.per_comm_cx = double_vector(metrics.at("per_comm_cx"));
-    row.metrics.block_sizes = size_vector(metrics.at("block_sizes"));
+    auto& sc = row.schedule;
+    const auto ledger = [&] {
+        LinkMap per_link;
+        LinkMap raw_per_link;
+        std::size_t total = 0;
+        std::size_t raw_total = 0;
+        double log_fidelity = 0.0;
+        read_fields(r, "schedule.ledger.",
+                    {{"per_link", [&] { per_link = read_link_map(r); }},
+                     {"raw_per_link",
+                      [&] { raw_per_link = read_link_map(r); }},
+                     {"total", count(total)},
+                     {"raw_total", count(raw_total)},
+                     {"log_fidelity", real(log_fidelity)}});
+        sc.ledger = comm::EprLedger::restore(std::move(per_link),
+                                             std::move(raw_per_link), total,
+                                             raw_total, log_fidelity);
+    };
+    const auto schedule = [&] {
+        read_fields(r, "schedule.",
+                    {{"makespan", real(sc.makespan)},
+                     {"epr_pairs", count(sc.epr_pairs)},
+                     {"teleports", count(sc.teleports)},
+                     {"fused_links", count(sc.fused_links)},
+                     {"hops_total", count(sc.hops_total)},
+                     {"epr_raw_pairs", count(sc.epr_raw_pairs)},
+                     {"purify_rounds", count(sc.purify_rounds)},
+                     {"detours", count(sc.detours)},
+                     {"ledger", ledger}});
+    };
 
-    const Json& sched = doc.at("schedule");
-    row.schedule.makespan = sched.at("makespan").to_double();
-    row.schedule.epr_pairs =
-        static_cast<std::size_t>(sched.at("epr_pairs").to_uint());
-    row.schedule.teleports =
-        static_cast<std::size_t>(sched.at("teleports").to_uint());
-    row.schedule.fused_links =
-        static_cast<std::size_t>(sched.at("fused_links").to_uint());
-    row.schedule.hops_total =
-        static_cast<std::size_t>(sched.at("hops_total").to_uint());
-    row.schedule.epr_raw_pairs =
-        static_cast<std::size_t>(sched.at("epr_raw_pairs").to_uint());
-    row.schedule.purify_rounds =
-        static_cast<std::size_t>(sched.at("purify_rounds").to_uint());
-    row.schedule.detours =
-        static_cast<std::size_t>(sched.at("detours").to_uint());
-
-    const Json& ledger = sched.at("ledger");
-    row.schedule.ledger = comm::EprLedger::restore(
-        link_map_from(ledger.at("per_link")),
-        link_map_from(ledger.at("raw_per_link")),
-        static_cast<std::size_t>(ledger.at("total").to_uint()),
-        static_cast<std::size_t>(ledger.at("raw_total").to_uint()),
-        ledger.at("log_fidelity").to_double());
-
-    row.factors = factors_from_json(doc.at("factors"));
-    row.gptp_factors = factors_from_json(doc.at("gptp_factors"));
+    read_fields(
+        r, "",
+        {{"ok", [&] { row.ok = r.read_bool(); }},
+         {"error", [&] { row.error = r.read_string(); }},
+         {"stats", stats},
+         {"remote_cx", count(row.remote_cx)},
+         {"metrics", metrics},
+         {"schedule", schedule},
+         {"factors", [&] { row.factors = read_factors(r, "factors."); }},
+         {"gptp_factors",
+          [&] { row.gptp_factors = read_factors(r, "gptp_factors."); }}});
+    r.finish();
 
     // compile_seconds is wall-clock and deliberately not cached.
     row.compile_seconds = 0.0;

@@ -5,10 +5,10 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <unistd.h>
 #include <utility>
 
+#include "cache/json.hpp"
 #include "cache/serialize.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -65,6 +65,23 @@ ResultStore::~ResultStore()
                             std::memory_order_relaxed);
 }
 
+namespace {
+
+/** The whole of @p path in one read; false when it cannot be read. */
+bool
+read_file(const fs::path& path, std::string& out)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    if (!in)
+        return false;
+    out.resize(static_cast<std::size_t>(in.tellg()));
+    in.seekg(0);
+    in.read(out.data(), static_cast<std::streamsize>(out.size()));
+    return static_cast<bool>(in);
+}
+
+} // namespace
+
 void
 ResultStore::load()
 {
@@ -81,8 +98,8 @@ ResultStore::load()
     std::sort(segments.begin(), segments.end());
 
     for (const fs::path& seg : segments) {
-        std::ifstream in(seg);
-        if (!in) {
+        std::string text;
+        if (!read_file(seg, text)) {
             // Deliberately NOT added to seen_segments_: its rows never
             // made it into memory, so no rewrite covers them and a
             // corrupt-triggered retirement must leave the file alone.
@@ -91,50 +108,82 @@ ResultStore::load()
             continue;
         }
         seen_segments_.push_back(seg);
-        std::string line;
         std::size_t lineno = 0;
-        while (std::getline(in, line)) {
+        for (std::size_t at = 0; at < text.size();) {
+            std::size_t end = text.find('\n', at);
+            if (end == std::string::npos)
+                end = text.size();
+            const std::string_view line(text.data() + at, end - at);
+            at = end + 1;
             ++lineno;
             if (line.empty())
                 continue;
-            std::string err;
-            const std::optional<Json> doc = Json::parse(line, &err);
-            if (!doc || !doc->is_object()) {
+            try {
+                load_line(line);
+            } catch (const support::UserError& ex) {
+                // Dropped here, and the next flush rewrites this
+                // process's view so the damaged line leaves the disk.
                 support::warn("cache: %s:%zu: malformed entry (%s); "
                               "dropped", seg.string().c_str(), lineno,
-                              err.c_str());
+                              ex.what());
                 ++stats_.stale;
-                continue;
-            }
-            try {
-                const std::string& key = doc->at("key").to_string();
-                if (doc->at("salt").to_string() != salt_) {
-                    // A different compiler salt: metrics semantics moved
-                    // under this entry, so it must not be served.
-                    ++stats_.stale;
-                    continue;
-                }
-                Entry e;
-                e.canonical = doc->at("canonical").to_string();
-                e.label = doc->at("label").to_string();
-                // Optional for backward compatibility: pre-gc stores
-                // have no timestamps (created_at stays 0 = "ancient"),
-                // and pre-last-hit stores have no "hit" field.
-                if (const Json* ts = doc->find("ts"); ts != nullptr)
-                    e.created_at = ts->to_int();
-                if (const Json* hit = doc->find("hit"); hit != nullptr)
-                    e.last_hit = hit->to_int();
-                e.row = doc->at("row");
-                e.bytes = line.size() + 1;
-                put_entry(key, std::move(e));
-            } catch (const support::UserError& ex) {
-                support::warn("cache: %s:%zu: %s; dropped",
-                              seg.string().c_str(), lineno, ex.what());
-                ++stats_.stale;
+                saw_corrupt_ = true;
             }
         }
     }
     stats_.loaded = entries_.size();
+}
+
+void
+ResultStore::load_line(std::string_view line)
+{
+    // The whole line is validated before anything is kept, the row
+    // included: a row that fails to decode later is corrupt in content,
+    // never malformed text, and compact() only rewrites validated rows.
+    std::optional<std::string> key;
+    std::optional<std::string> salt;
+    std::optional<std::string> label;
+    std::optional<std::string> canonical;
+    std::optional<std::string_view> row;
+    Entry e;
+    JsonReader r(line);
+    r.read_object([&](std::string_view name) {
+        if (name == "key")
+            key = r.read_string();
+        else if (name == "salt")
+            salt = r.read_string();
+        else if (name == "label")
+            label = r.read_string();
+        else if (name == "canonical")
+            canonical = r.read_string();
+        // Optional for backward compatibility: pre-gc stores have no
+        // timestamps (created_at stays 0 = "ancient"), and pre-last-hit
+        // stores have no "hit" field.
+        else if (name == "ts")
+            e.created_at = r.read_int();
+        else if (name == "hit")
+            e.last_hit = r.read_int();
+        else if (name == "row")
+            row = r.raw();
+        else
+            r.skip();
+    });
+    r.finish();
+    if (!key || !salt)
+        support::fatal("entry has no key or salt");
+    if (*salt != salt_) {
+        // A different compiler salt: metrics semantics moved under this
+        // entry, so it must not be served.
+        ++stats_.stale;
+        return;
+    }
+    if (!label || !canonical || !row)
+        support::fatal("entry has no label, canonical key or row");
+    e.label = std::move(*label);
+    e.canonical = std::move(*canonical);
+    e.row = std::string(*row);
+    e.bytes = line.size() + 1;
+    put_entry(*key, std::move(e));
 }
 
 std::optional<driver::SweepRow>
@@ -158,7 +207,7 @@ ResultStore::lookup(const CellKey& key, const driver::SweepCell& cell)
         return std::nullopt;
     }
     try {
-        driver::SweepRow row = row_from_json(it->second.row, cell);
+        driver::SweepRow row = row_from_text(it->second.row, cell);
         ++stats_.hits;
         obs::count("cache.hits");
         it->second.last_hit = static_cast<long long>(std::time(nullptr));
@@ -184,16 +233,16 @@ ResultStore::insert(const CellKey& key, const driver::SweepRow& row)
     e.canonical = key.canonical;
     e.label = row.cell.label();
     e.created_at = static_cast<long long>(std::time(nullptr));
-    e.row = row_to_json(row);
+    e.row = row_to_json(row).dump();
     e.pending = true;
-    e.bytes = entry_line(key.hex(), e).size() + 1;
+    e.bytes = line_size(key.hex(), e);
     put_entry(key.hex(), std::move(e));
     ++stats_.inserted;
     obs::count("cache.inserted");
 }
 
 std::string
-ResultStore::entry_line(const std::string& hex, const Entry& e) const
+ResultStore::line_head(const std::string& hex, const Entry& e) const
 {
     Json doc = Json::object();
     doc.set("key", Json::string(hex));
@@ -206,8 +255,25 @@ ResultStore::entry_line(const std::string& hex, const Entry& e) const
     // segment names depend on it).
     if (e.last_hit != 0)
         doc.set("hit", Json::number(e.last_hit));
-    doc.set("row", e.row);
-    return doc.dump();
+    std::string head = doc.dump();
+    head.back() = ',';
+    head += "\"row\":";
+    return head;
+}
+
+std::string
+ResultStore::entry_line(const std::string& hex, const Entry& e) const
+{
+    std::string line = line_head(hex, e);
+    line += e.row;
+    line += '}';
+    return line;
+}
+
+std::size_t
+ResultStore::line_size(const std::string& hex, const Entry& e) const
+{
+    return line_head(hex, e).size() + e.row.size() + 2;
 }
 
 void
@@ -394,7 +460,7 @@ ResultStore::gc_to_bytes(std::size_t max_bytes)
     std::vector<std::pair<const std::string*, std::size_t>> sizes;
     sizes.reserve(entries_.size());
     for (const auto& [hex, e] : entries_) {
-        const std::size_t n = entry_line(hex, e).size() + 1;
+        const std::size_t n = line_size(hex, e);
         sizes.emplace_back(&hex, n);
         total += n;
     }

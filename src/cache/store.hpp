@@ -23,10 +23,21 @@
  * string (verified on lookup, so even a hash collision degrades to a
  * miss), the unix time the row was first compiled, the unix time it was
  * last served from the store (together the gc() age basis, preserved
- * across flush/compact/merge), and the serialized row.
+ * across flush/compact/merge), and the serialized row, always the last
+ * member.
  * Entries whose salt differs from the opener's are dropped at load time
  * and counted stale; on disk they linger until gc() or a rewrite-
  * triggering compaction drops their segments.
+ *
+ * Opening a store builds no JSON tree. Each segment is read in one go
+ * and every line is validated whole by a JsonReader; the envelope
+ * fields are decoded, and the row is kept as the exact text span it
+ * occupied. A hit decodes that text straight into a SweepRow
+ * (row_from_text), and flush()/compact() splice it back verbatim, so an
+ * open store holds roughly its on-disk size and rewritten lines stay
+ * byte-identical. A malformed line is dropped at open (stale) and the
+ * next flush() rewrites the store without it; a well-formed row that
+ * fails to decode takes the same path at lookup.
  *
  * The class is NOT thread-safe; run_sweep consults it only from the
  * coordinating thread (lookups before the pool starts, inserts after it
@@ -39,9 +50,9 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "cache/json.hpp"
 #include "cache/key.hpp"
 #include "driver/sweep.hpp"
 
@@ -174,7 +185,9 @@ class ResultStore
          * entries survive passes that retire idle ones. Persisted by
          * compact()/gc() only — flush() segments stay clock-free. */
         long long last_hit = 0;
-        Json row;
+        /** The row as row_to_json(row).dump() text, validated when it
+         * was loaded; decoded by row_from_text() on each hit. */
+        std::string row;
         /** Serialized line size (incl. newline) this entry contributes
          * to approx_bytes(); re-measured on compact(). */
         std::size_t bytes = 0;
@@ -182,7 +195,16 @@ class ResultStore
     };
 
     void load();
+    /** Parse one segment line and install its entry when the salt
+     * matches; throws support::UserError on a malformed line. */
+    void load_line(std::string_view line);
+    /** An entry's line up to and including `"row":` — the envelope
+     * members, then the row text spliced in last, verbatim. */
+    std::string line_head(const std::string& hex, const Entry& e) const;
     std::string entry_line(const std::string& hex, const Entry& e) const;
+    /** entry_line(hex, e).size() + 1 (the newline), without the row
+     * copy. */
+    std::size_t line_size(const std::string& hex, const Entry& e) const;
     void write_atomic(const std::string& filename,
                       const std::string& contents) const;
     /** Install @p e under @p hex, keeping the byte accounting straight

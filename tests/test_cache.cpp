@@ -12,8 +12,9 @@
 #include <cstdio>
 #include <ctime>
 #include <filesystem>
-#include <unistd.h>
 #include <fstream>
+#include <functional>
+#include <unistd.h>
 #include <set>
 #include <sstream>
 #include <string>
@@ -191,6 +192,82 @@ TEST(CacheJson, RejectsMalformedInput)
     EXPECT_FALSE(Json::parse("nul", &err).has_value());
     EXPECT_FALSE(Json::parse("", &err).has_value());
     EXPECT_TRUE(Json::parse("  42 ").has_value());
+    // RFC 8259 numbers only: no leading '+', leading zeros, or bare
+    // fraction points.
+    for (const char* bad : {"+1", "01", ".5", "1.", "-", "1e", "1e+",
+                            "-.5", "[01]"})
+        EXPECT_FALSE(Json::parse(bad, &err).has_value()) << bad;
+    // Grammatical but out of range: an error, never a saturated value.
+    const auto huge = Json::parse("1e999");
+    ASSERT_TRUE(huge.has_value());
+    EXPECT_THROW(huge->to_double(), support::UserError);
+    EXPECT_THROW(Json::parse("18446744073709551616")->to_uint(),
+                 support::UserError);
+    EXPECT_THROW(Json::parse("-1")->to_uint(), support::UserError);
+    EXPECT_THROW(Json::parse("1.5")->to_int(), support::UserError);
+}
+
+TEST(CacheJson, EdgeNumbersRoundTrip)
+{
+    for (const char* lit : {"-0", "1e+20", "1.5e-300",
+                            "18446744073709551615", "0", "-12.5E-3"}) {
+        const auto doc = Json::parse(lit);
+        ASSERT_TRUE(doc.has_value()) << lit;
+        EXPECT_EQ(doc->dump(), lit);
+    }
+    EXPECT_TRUE(std::signbit(Json::parse("-0")->to_double()));
+    EXPECT_EQ(Json::parse("1e+20")->to_double(), 1e20);
+    EXPECT_EQ(Json::parse("1.5e-300")->to_double(), 1.5e-300);
+    EXPECT_EQ(Json::parse("18446744073709551615")->to_uint(),
+              18446744073709551615ULL);
+}
+
+TEST(CacheJson, NestingIsBoundedWithoutRecursingPastIt)
+{
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_TRUE(Json::parse(nested(128)).has_value());
+    std::string err;
+    EXPECT_FALSE(Json::parse(nested(129), &err).has_value());
+    EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+    // Far deeper than any stack would survive unbounded recursion.
+    EXPECT_FALSE(Json::parse(std::string(1000000, '['), &err).has_value());
+    const std::string objects(1000000, '{');
+    cache::JsonReader r(objects);
+    EXPECT_THROW(r.skip(), support::UserError);
+}
+
+TEST(CacheJson, ReaderDecodesInPlaceAndSpansRawValues)
+{
+    const std::string text =
+        R"( {"b":[1,2,3],"skip":{"x":[null,true,"\u00e9"]},)"
+        R"("k\"ey":"v","a":-7} )";
+    cache::JsonReader r(text);
+    std::vector<unsigned long long> b;
+    std::string raw;
+    std::string escaped_key;
+    long long a = 0;
+    r.read_object([&](std::string_view key) {
+        if (key == "b")
+            r.read_array([&] { b.push_back(r.read_uint()); });
+        else if (key == "skip")
+            raw = std::string(r.raw());
+        else if (key == "a")
+            a = r.read_int();
+        else {
+            escaped_key = std::string(key);
+            EXPECT_EQ(r.read_string(), "v");
+        }
+    });
+    r.finish();
+    EXPECT_EQ(b, (std::vector<unsigned long long>{1, 2, 3}));
+    EXPECT_EQ(raw, R"({"x":[null,true,"\u00e9"]})");
+    EXPECT_EQ(escaped_key, "k\"ey");
+    EXPECT_EQ(a, -7);
+
+    cache::JsonReader wrong("{\"a\":1}");
+    EXPECT_THROW(wrong.read_array([] {}), support::UserError);
 }
 
 // ------------------------------------------------------- row round trip
@@ -208,9 +285,7 @@ TEST(CacheSerialize, NoisyBaselineRowRoundTripsByteIdentically)
     ASSERT_TRUE(row.ok) << row.error;
 
     const std::string dumped = cache::row_to_json(row).dump();
-    const auto parsed = Json::parse(dumped);
-    ASSERT_TRUE(parsed.has_value());
-    const SweepRow back = cache::row_from_json(*parsed, cell);
+    const SweepRow back = cache::row_from_text(dumped, cell);
 
     EXPECT_EQ(driver::sweep_csv({row}).to_string(),
               driver::sweep_csv({back}).to_string());
@@ -236,9 +311,8 @@ TEST(CacheSerialize, ErrorRowRoundTrips)
     const std::vector<SweepRow> rows = driver::run_sweep({bad}, {});
     ASSERT_FALSE(rows[0].ok);
 
-    const auto parsed = Json::parse(cache::row_to_json(rows[0]).dump());
-    ASSERT_TRUE(parsed.has_value());
-    const SweepRow back = cache::row_from_json(*parsed, bad);
+    const SweepRow back =
+        cache::row_from_text(cache::row_to_json(rows[0]).dump(), bad);
     EXPECT_FALSE(back.ok);
     EXPECT_EQ(back.error, rows[0].error);
 }
@@ -440,7 +514,7 @@ TEST(CacheStore, CorruptEntrySelfHealConvergesOnDisk)
         store.flush();
     }
     // Corrupt the stored row in place, keeping the line valid JSON so
-    // the damage is only detected at lookup (row_from_json) time.
+    // the damage is only detected at lookup (row_from_text) time.
     for (const auto& seg : fs::directory_iterator(dir.path)) {
         std::ifstream in(seg.path());
         std::string text((std::istreambuf_iterator<char>(in)),
@@ -895,6 +969,229 @@ TEST(CacheShard, FilterIsDeterministicAndSaltDependent)
                  support::UserError);
     EXPECT_THROW(cache::in_shard(key, driver::ShardSpec{3, 2}),
                  support::UserError);
+}
+
+// ------------------------------------------------- on-disk compatibility
+
+/** The whole of @p path as text. */
+std::string
+read_text(const fs::path& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+/** The noisy baseline cell of kTreeWriterLines: Ferrari factors and a
+ * non-empty EPR ledger. */
+SweepCell
+compat_noisy_cell()
+{
+    SweepCell cell;
+    cell.spec = {circuits::Family::QFT, 8, 2};
+    cell.topology = hw::Topology::Ring;
+    cell.link_fidelity = 0.95;
+    cell.target_fidelity = 0.99;
+    cell.link_bandwidth = 2;
+    cell.with_baseline = true;
+    return cell;
+}
+
+/** The error cell of kTreeWriterLines (insufficient capacity). */
+SweepCell
+compat_error_cell()
+{
+    SweepCell cell;
+    cell.spec = {circuits::Family::QFT, 16, 2};
+    cell.shape = "2x4";
+    return cell;
+}
+
+// Two store lines exactly as the earlier tree-based store wrote them
+// under salt s3: a run_sweep of the two cells above, then a compact()
+// after one lookup of the error cell, so that line also carries "hit".
+// A compiler-salt bump must regenerate them.
+const char* const kTreeWriterLines = R"line({"key":"24fa6a602b64da5d3f1e263709454449","salt":"s3","label":"QFT-16-2@2x4/default","canonical":"autocomm-cell-v2;salt=s3;family=QFT;qubits=16;nodes=2;seed=2022;shape=2x4;topology=all_to_all;link_fidelity=1;target_fidelity=0;link_bandwidth=0;fidelity_overrides=;bandwidth_overrides=;partitioner=oee;options=default{use_commutation=1,absorb_local_gates=1,comm_capacity=2,allow_tp=1,epr_prefetch=1,tp_fusion=1};baseline=0;gptp=0;stats_only=0","ts":1792257287,"hit":1792257287,"row":{"ok":false,"error":"machine capacity 8 cannot hold 16 qubits (shape has 2 nodes); add nodes or enlarge them","stats":{"total_gates":0,"single_qubit_gates":0,"two_qubit_gates":0,"cx_gates":0,"three_qubit_gates":0,"measurements":0,"depth":0},"remote_cx":0,"metrics":{"remote_gates":0,"num_blocks":0,"total_comms":0,"tp_comms":0,"cat_comms":0,"peak_rem_cx":0,"per_comm_cx":[],"block_sizes":[]},"schedule":{"makespan":0,"epr_pairs":0,"teleports":0,"fused_links":0,"hops_total":0,"epr_raw_pairs":0,"purify_rounds":0,"detours":0,"ledger":{"per_link":[],"raw_per_link":[],"total":0,"raw_total":0,"log_fidelity":0}},"factors":null,"gptp_factors":null}}
+{"key":"30cbd29cafc8eb8b6e3c446de226c1f2","salt":"s3","label":"QFT-8-2+ring~f0.95~t0.99~b2/default","canonical":"autocomm-cell-v2;salt=s3;family=QFT;qubits=8;nodes=2;seed=2022;shape=;topology=ring;link_fidelity=0.94999999999999996;target_fidelity=0.98999999999999999;link_bandwidth=2;fidelity_overrides=;bandwidth_overrides=;partitioner=oee;options=default{use_commutation=1,absorb_local_gates=1,comm_capacity=2,allow_tp=1,epr_prefetch=1,tp_fusion=1};baseline=1;gptp=0;stats_only=0","ts":1792257287,"row":{"ok":true,"error":"","stats":{"total_gates":148,"single_qubit_gates":92,"two_qubit_gates":56,"cx_gates":56,"three_qubit_gates":0,"measurements":0,"depth":53},"remote_cx":32,"metrics":{"remote_gates":32,"num_blocks":4,"total_comms":8,"tp_comms":8,"cat_comms":0,"peak_rem_cx":4,"per_comm_cx":[4,4,4,4,4,4,4,4],"block_sizes":[8,8,8,8]},"schedule":{"makespan":1885.2999999999997,"epr_pairs":8,"teleports":8,"fused_links":0,"hops_total":8,"epr_raw_pairs":256,"purify_rounds":40,"detours":0,"ledger":{"per_link":[[0,1,8]],"raw_per_link":[[0,1,256]],"total":8,"raw_total":256,"log_fidelity":-0.060613782958108833}},"factors":{"improv":4,"lat_dec":3.9489736381477769},"gptp_factors":null}}
+)line";
+
+TEST(CacheCompat, TreeWriterLinesHitAndCompactByteIdentically)
+{
+    const std::string text = kTreeWriterLines;
+    TempDir dir("compat");
+    fs::create_directories(dir.path);
+    std::ofstream(dir.path / "seg-tree.jsonl", std::ios::binary) << text;
+    {
+        // No lookups before compact(): every line is rewritten verbatim.
+        ResultStore store(dir.str());
+        EXPECT_EQ(store.stats().loaded, 2u);
+        EXPECT_EQ(store.stats().stale, 0u);
+        store.compact();
+    }
+    EXPECT_EQ(read_text(dir.path / "store.jsonl"), text);
+    EXPECT_FALSE(fs::exists(dir.path / "seg-tree.jsonl"));
+
+    ResultStore store(dir.str());
+    // run_cell throws on a cell that cannot be built; run_sweep turns
+    // that into the error row the store holds.
+    const SweepCell noisy = compat_noisy_cell();
+    const SweepCell bad = compat_error_cell();
+    const std::vector<std::pair<SweepCell, SweepRow>> fresh = {
+        {noisy, driver::run_cell(noisy)},
+        {bad, driver::run_sweep({bad}, {}).front()}};
+    for (const auto& [cell, want] : fresh) {
+        const auto got = store.lookup(cache::cell_key(cell), cell);
+        ASSERT_TRUE(got.has_value()) << cell.label();
+        EXPECT_EQ(driver::sweep_csv({*got}).to_string(),
+                  driver::sweep_csv({want}).to_string());
+        EXPECT_EQ(got->error, want.error);
+        EXPECT_EQ(got->metrics.per_comm_cx, want.metrics.per_comm_cx);
+        EXPECT_EQ(got->metrics.block_sizes, want.metrics.block_sizes);
+        EXPECT_EQ(got->schedule.ledger.per_link(),
+                  want.schedule.ledger.per_link());
+        EXPECT_EQ(got->schedule.ledger.raw_per_link(),
+                  want.schedule.ledger.raw_per_link());
+        EXPECT_EQ(got->schedule.ledger.log_fidelity(),
+                  want.schedule.ledger.log_fidelity());
+        EXPECT_EQ(got->factors.has_value(), want.factors.has_value());
+    }
+    ASSERT_TRUE(fresh[0].second.factors.has_value());
+    EXPECT_FALSE(fresh[0].second.schedule.ledger.per_link().empty());
+    EXPECT_EQ(store.stats().hits, 2u);
+}
+
+// ------------------------------------------------------ reader hardening
+
+/** The one line of a store seeded with @p cell, minus its newline. */
+std::string
+seed_one_line(const TempDir& dir, const SweepCell& cell,
+              fs::path* segment)
+{
+    {
+        ResultStore store(dir.str());
+        SweepOptions opts;
+        opts.store = &store;
+        driver::run_sweep({cell}, opts);
+        store.flush();
+    }
+    const std::vector<std::string> names = segment_names(dir.str());
+    EXPECT_EQ(names.size(), 1u);
+    *segment = dir.path / names.front();
+    std::string line = read_text(*segment);
+    EXPECT_EQ(line.back(), '\n');
+    line.pop_back();
+    return line;
+}
+
+/** @p line with @p text inserted right after the row's opening brace. */
+std::string
+into_row(std::string line, const std::string& text)
+{
+    const std::size_t at = line.find("\"row\":{");
+    EXPECT_NE(at, std::string::npos);
+    return line.insert(at + 7, text);
+}
+
+TEST(CacheStore, DamagedLinesAreNeverServedAndTheStoreConverges)
+{
+    SweepCell cell;
+    cell.spec = {circuits::Family::QFT, 10, 2};
+    const std::string clean_csv =
+        driver::sweep_csv(driver::run_sweep({cell}, {})).to_string();
+
+    // The row sits at depth 2, so 127 more levels nest the line 129 deep.
+    const std::string deep =
+        std::string(127, '[') + std::string(127, ']');
+    const std::vector<
+        std::pair<const char*, std::function<std::string(std::string)>>>
+        damages = {
+            {"nesting-129",
+             [&](std::string line) {
+                 return into_row(std::move(line), "\"deep\":" + deep + ",") +
+                        "\n";
+             }},
+            {"cut-mid-row",
+             [](std::string line) {
+                 const std::size_t row = line.find("\"row\":");
+                 return line.substr(0, row + (line.size() - row) / 2);
+             }},
+            {"count-out-of-range",
+             [](std::string line) {
+                 const std::string field = "\"total_gates\":";
+                 const std::size_t at = line.find(field) + field.size();
+                 const std::size_t end = line.find(',', at);
+                 return line.replace(at, end - at, "18446744073709551616") +
+                        "\n";
+             }},
+            {"no-ledger",
+             [](std::string line) {
+                 const std::size_t at = line.find(",\"ledger\":{");
+                 const std::size_t end = line.find('}', at);
+                 return line.erase(at, end + 1 - at) + "\n";
+             }},
+        };
+
+    for (const auto& [name, damage] : damages) {
+        SCOPED_TRACE(name);
+        TempDir dir(std::string("damaged-") + name);
+        fs::path segment;
+        const std::string line = seed_one_line(dir, cell, &segment);
+        std::ofstream(segment, std::ios::binary | std::ios::trunc)
+            << damage(line);
+        {
+            // Dropped at open or on the corrupt-entry path at lookup:
+            // either way recompiled, never served.
+            ResultStore store(dir.str());
+            SweepOptions opts;
+            opts.store = &store;
+            support::set_log_level(support::LogLevel::Quiet);
+            const std::string csv =
+                driver::sweep_csv(driver::run_sweep({cell}, opts))
+                    .to_string();
+            support::set_log_level(support::LogLevel::Warn);
+            EXPECT_EQ(store.stats().hits, 0u);
+            EXPECT_EQ(store.stats().misses, 1u);
+            EXPECT_EQ(store.stats().stale, 1u);
+            EXPECT_EQ(csv, clean_csv);
+            store.flush();
+        }
+        // Converged: one clean segment holding the original line.
+        const std::vector<std::string> names = segment_names(dir.str());
+        ASSERT_EQ(names.size(), 1u);
+        EXPECT_EQ(read_text(dir.path / names.front()), line + "\n");
+        ResultStore store(dir.str());
+        EXPECT_EQ(store.stats().stale, 0u);
+        EXPECT_TRUE(store.lookup(cache::cell_key(cell), cell).has_value());
+    }
+}
+
+TEST(CacheStore, UnknownMembersAreSkippedAndTheRowStillHits)
+{
+    SweepCell cell;
+    cell.spec = {circuits::Family::QFT, 10, 2};
+    const std::string clean_csv =
+        driver::sweep_csv(driver::run_sweep({cell}, {})).to_string();
+    TempDir dir("unknown");
+    fs::path segment;
+    std::string line = seed_one_line(dir, cell, &segment);
+    // Unknown members of every type, in the envelope and in the row; the
+    // row one nests the line exactly 128 deep, the bound itself.
+    line.insert(1, "\"future\":{\"a\":[1,2.5e-3,null,true,\"\\u00e9\"]},");
+    line = into_row(std::move(line),
+                    "\"note\":\"x\",\"deep\":" + std::string(126, '[') +
+                        std::string(126, ']') + ",");
+    std::ofstream(segment, std::ios::binary | std::ios::trunc)
+        << line << "\n";
+
+    ResultStore store(dir.str());
+    EXPECT_EQ(store.stats().loaded, 1u);
+    SweepOptions opts;
+    opts.store = &store;
+    const std::string csv =
+        driver::sweep_csv(driver::run_sweep({cell}, opts)).to_string();
+    EXPECT_EQ(store.stats().hits, 1u);
+    EXPECT_EQ(store.stats().stale, 0u);
+    EXPECT_EQ(csv, clean_csv);
 }
 
 } // namespace
