@@ -207,8 +207,14 @@ print_table2(const Experiment& e, const Rows& rows, support::CsvWriter&)
     s.finish(e.id);
 }
 
-/** Table 3: AutoComm vs the Ferrari et al. per-remote-CX Cat-Comm
- * baseline, plus the paper's Section 5.2 headline averages. */
+/**
+ * Table 3: AutoComm vs the Ferrari et al. per-remote-CX Cat-Comm
+ * baseline, plus the paper's Section 5.2 headline averages. The paper's
+ * two reductions are reductions of the average factors: 75.6% is
+ * 1 - 1/4.1 and 71.4% is 1 - 1/3.5. The mean of the per-program
+ * reductions, which the paper does not report, is kept as two extra
+ * scorecard rows.
+ */
 void
 print_table3(const Experiment& e, const Rows& rows, support::CsvWriter& card)
 {
@@ -235,9 +241,11 @@ print_table3(const Experiment& e, const Rows& rows, support::CsvWriter& card)
     s.finish(e.id);
 
     const double n = static_cast<double>(rows.size());
-    const double ours[] = {improv_sum / n, lat_sum / n,
-                           100.0 * comm_reduction_sum / n,
-                           100.0 * lat_reduction_sum / n};
+    const double improv = improv_sum / n, lat_dec = lat_sum / n;
+    const double ours[] = {improv, lat_dec, 100.0 * (1.0 - 1.0 / improv),
+                           100.0 * (1.0 - 1.0 / lat_dec)};
+    const double per_program[] = {100.0 * comm_reduction_sum / n,
+                                  100.0 * lat_reduction_sum / n};
     std::printf("\nAverages over %zu programs:\n", rows.size());
     std::printf("  improv. factor (comm):   %.2fx  (paper: %.1fx)\n",
                 ours[0], e.paper[0]);
@@ -247,10 +255,23 @@ print_table3(const Experiment& e, const Rows& rows, support::CsvWriter& card)
                 ours[2], e.paper[2]);
     std::printf("  latency reduction:       %.1f%%  (paper: %.1f%%)\n",
                 ours[3], e.paper[3]);
+    std::printf("  per-program mean reductions: comm %.1f%%, latency "
+                "%.1f%%\n", per_program[0], per_program[1]);
     const char* metrics[] = {"improv_factor", "lat_dec_factor",
                              "comm_reduction_pct", "latency_reduction_pct"};
+    const char* notes[] = {
+        "", "", "the paper's definition: 1 - 1/mean(improv_factor)",
+        "the paper's definition: 1 - 1/mean(lat_dec_factor)"};
     for (int i = 0; i < 4; ++i)
-        score(card, e, "average", metrics[i], ours[i], e.paper[i]);
+        score(card, e, "average", metrics[i], ours[i], e.paper[i],
+              notes[i]);
+    const char* unreported =
+        "mean over programs of 1 - 1/factor; the paper does not report "
+        "this definition";
+    score(card, e, "average", "comm_reduction_pct_per_program",
+          per_program[0], e.paper[2], unreported);
+    score(card, e, "average", "latency_reduction_pct_per_program",
+          per_program[1], e.paper[3], unreported);
 }
 
 /** One Fig. 15 panel: Pr[a communication carries >= X REM CX] per row. */

@@ -189,7 +189,7 @@ is_transient(const std::exception& e)
     return dynamic_cast<const support::UserError*>(&e) == nullptr;
 }
 
-/** Throw the same UserErrors prepare_cell would for a malformed cell
+/** Throw the same UserErrors run_cell would for a malformed cell
  * geometry (non-positive counts, shape/node-count mismatch). */
 void
 validate_cell_geometry(const circuits::BenchmarkSpec& spec,
@@ -209,24 +209,22 @@ validate_cell_geometry(const circuits::BenchmarkSpec& spec,
 
 /** Derive the machine for a cell: shape, topology, and link noise. */
 hw::Machine
-machine_for(const circuits::BenchmarkSpec& spec, const std::string& shape,
-            hw::Topology topology, double link_fidelity,
-            double target_fidelity, int link_bandwidth,
-            const std::vector<LinkValue>& link_fidelity_overrides,
-            const std::vector<LinkValue>& link_bandwidth_overrides)
+machine_for(const SweepCell& cell)
 {
     hw::Machine m;
-    if (shape.empty()) {
+    if (cell.shape.empty()) {
         m = hw::Machine::homogeneous(
-            spec.num_nodes,
-            (spec.num_qubits + spec.num_nodes - 1) / spec.num_nodes,
-            topology);
+            cell.spec.num_nodes,
+            (cell.spec.num_qubits + cell.spec.num_nodes - 1) /
+                cell.spec.num_nodes,
+            cell.topology);
     } else {
-        m = hw::Machine::from_capacities(hw::parse_shape(shape), topology);
+        m = hw::Machine::from_capacities(hw::parse_shape(cell.shape),
+                                         cell.topology);
     }
-    m.link.fidelity = link_fidelity;
-    m.link.bandwidth = link_bandwidth;
-    m.purify.target_fidelity = target_fidelity;
+    m.link.fidelity = cell.link_fidelity;
+    m.link.bandwidth = cell.link_bandwidth;
+    m.purify.target_fidelity = cell.target_fidelity;
     // Overrides must name physical links of this topology — a spec like
     // 0-2 on a ring would otherwise be silently inert (nothing routes
     // over a non-edge) while still coloring the label, CSV, and cache
@@ -244,15 +242,15 @@ machine_for(const circuits::BenchmarkSpec& spec, const std::string& shape,
                            "physical link of the %s topology", kind, o.a,
                            o.b, o.a, o.b, hw::topology_name(m.topology));
     };
-    for (const LinkValue& o : link_fidelity_overrides) {
+    for (const LinkValue& o : cell.link_fidelity_overrides) {
         check_link(o, "fidelity");
         m.link.set_link_fidelity(o.a, o.b, o.value);
     }
-    for (const LinkValue& o : link_bandwidth_overrides) {
+    for (const LinkValue& o : cell.link_bandwidth_overrides) {
         check_link(o, "bandwidth");
         m.link.set_link_bandwidth(o.a, o.b, static_cast<int>(o.value));
     }
-    if (!link_fidelity_overrides.empty()) {
+    if (!cell.link_fidelity_overrides.empty()) {
         // Per-link fidelity overrides make min-hop routes suboptimal;
         // rebuild so the router can detour around the degraded fibers.
         m.build_routing();
@@ -263,15 +261,6 @@ machine_for(const circuits::BenchmarkSpec& spec, const std::string& shape,
     // Uniform link fidelities never change the routing already built by
     // the factory, so no rebuild is needed for the plain axes.
     return m;
-}
-
-hw::Machine
-machine_for(const SweepCell& cell)
-{
-    return machine_for(cell.spec, cell.shape, cell.topology,
-                       cell.link_fidelity, cell.target_fidelity,
-                       cell.link_bandwidth, cell.link_fidelity_overrides,
-                       cell.link_bandwidth_overrides);
 }
 
 /**
@@ -406,49 +395,32 @@ run_cell_prepared(const SweepCell& cell, const qir::Circuit& circuit,
 
 } // namespace
 
-PreparedCell
-prepare_cell(const circuits::BenchmarkSpec& spec, std::uint64_t seed,
-             const std::string& shape, hw::Topology topology,
-             double link_fidelity, double target_fidelity,
-             int link_bandwidth,
-             const std::vector<LinkValue>& link_fidelity_overrides,
-             const std::vector<LinkValue>& link_bandwidth_overrides,
-             partition::Mapper partitioner)
-{
-    validate_cell_geometry(spec, shape);
-
-    PreparedCell p;
-    {
-        obs::Span span("decompose", spec.label());
-        p.circuit = qir::decompose(circuits::make_benchmark(spec, seed));
-    }
-    p.machine = machine_for(spec, shape, topology, link_fidelity,
-                            target_fidelity, link_bandwidth,
-                            link_fidelity_overrides,
-                            link_bandwidth_overrides);
-    std::optional<partition::InteractionGraph> g;
-    {
-        obs::Span span("graph", spec.label());
-        g = partition::InteractionGraph::from_circuit(p.circuit);
-    }
-    {
-        obs::Span span("partition", spec.label());
-        p.mapping = partition::map_with(partitioner, *g, p.machine);
-    }
-    p.mapping.validate(p.machine);
-    return p;
-}
-
 SweepRow
 run_cell(const SweepCell& cell)
 {
-    const PreparedCell p =
-        prepare_cell(cell.spec, cell.seed, cell.shape, cell.topology,
-                     cell.link_fidelity, cell.target_fidelity,
-                     cell.link_bandwidth, cell.link_fidelity_overrides,
-                     cell.link_bandwidth_overrides, cell.partitioner);
+    validate_cell_geometry(cell.spec, cell.shape);
+
+    qir::Circuit circuit;
+    {
+        obs::Span span("decompose", cell.spec.label());
+        circuit =
+            qir::decompose(circuits::make_benchmark(cell.spec, cell.seed));
+    }
+    const hw::Machine machine = machine_for(cell);
+    hw::QubitMapping mapping;
+    {
+        // Scoped so the interaction graph is freed before the compile,
+        // which never reads it.
+        obs::Span graph_span("graph", cell.spec.label());
+        const partition::InteractionGraph g =
+            partition::InteractionGraph::from_circuit(circuit);
+        graph_span.finish();
+        obs::Span span("partition", cell.spec.label());
+        mapping = partition::map_with(cell.partitioner, g, machine);
+    }
+    mapping.validate(machine);
     SharedWork own;
-    return run_cell_prepared(cell, p.circuit, p.mapping, own);
+    return run_cell_prepared(cell, circuit, mapping, own);
 }
 
 std::vector<SweepRow>

@@ -160,32 +160,6 @@ std::vector<SweepCell> cells_from_specs(
     bool with_baseline = false, bool stats_only = false,
     bool with_gptp = false);
 
-/** A prepared instance: decomposed circuit, derived machine, OEE map. */
-struct PreparedCell
-{
-    qir::Circuit circuit;
-    hw::Machine machine{};
-    hw::QubitMapping mapping;
-};
-
-/**
- * The shared preparation recipe (also used by the bench harness):
- * generate + decompose the circuit, derive the machine (ceil-divided
- * qubits per node, or the explicit @p shape with per-node capacities,
- * plus the link noise model), build the topology's routing table, map
- * with the selected capacity-aware partitioner (OEE by default),
- * validate.
- */
-PreparedCell prepare_cell(
-    const circuits::BenchmarkSpec& spec, std::uint64_t seed = 2022,
-    const std::string& shape = {},
-    hw::Topology topology = hw::Topology::AllToAll,
-    double link_fidelity = 1.0, double target_fidelity = 0.0,
-    int link_bandwidth = 0,
-    const std::vector<LinkValue>& link_fidelity_overrides = {},
-    const std::vector<LinkValue>& link_bandwidth_overrides = {},
-    partition::Mapper partitioner = partition::Mapper::Oee);
-
 /** Metrics row for one compiled cell (Table 2 + Table 3 columns). */
 struct SweepRow
 {
@@ -228,8 +202,11 @@ struct SweepOptions
 };
 
 /**
- * Compile one cell: generate + decompose the circuit, derive the machine,
- * map with OEE, run the pipeline (and optionally the baseline).
+ * Compile one cell from scratch: generate + decompose the circuit,
+ * derive the machine (ceil-divided qubits per node, or the cell's shape
+ * with per-node capacities, plus topology and link noise), map with the
+ * cell's partitioner (OEE by default), validate, then run the pipeline
+ * (and optionally the baselines).
  */
 SweepRow run_cell(const SweepCell& cell);
 

@@ -1,7 +1,6 @@
 #include "multilevel/partitioner.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <numeric>
 
 #include "multilevel/initial.hpp"
@@ -10,25 +9,10 @@
 
 namespace autocomm::multilevel {
 
-namespace {
-
-using clock_type = std::chrono::steady_clock;
-
-double
-ms_since(clock_type::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(clock_type::now() -
-                                                     t0)
-        .count();
-}
-
-} // namespace
-
 std::vector<NodeId>
 multilevel_partition(const partition::InteractionGraph& g,
                      const std::vector<int>& capacities,
-                     const CostModel& cost, const MultilevelOptions& opts,
-                     MultilevelStats* stats)
+                     const CostModel& cost, const MultilevelOptions& opts)
 {
     const int n = g.num_qubits();
     const int k = static_cast<int>(capacities.size());
@@ -43,19 +27,10 @@ multilevel_partition(const partition::InteractionGraph& g,
         support::fatal("multilevel_partition: %d qubits exceed the "
                        "machine's total capacity %ld", n, total_cap);
 
-    MultilevelStats local;
-    MultilevelStats& st = stats != nullptr ? *stats : local;
-    st = MultilevelStats{};
-
-    if (k == 1 || n <= 1) {
-        st.coarsest_vertices = n;
+    if (k == 1 || n <= 1)
         return std::vector<NodeId>(static_cast<std::size_t>(n), 0);
-    }
 
     // ---- Coarsen ----
-    // The MultilevelStats stopwatches stay: they are per-call results a
-    // caller owns, while the spans feed the process-wide trace/registry.
-    auto t0 = clock_type::now();
     obs::Span coarsen_span("coarsen");
     CoarsenOptions copts;
     copts.target_vertices = std::max(opts.coarsen_target, 4 * k);
@@ -67,8 +42,6 @@ multilevel_partition(const partition::InteractionGraph& g,
         std::max(1, *std::min_element(capacities.begin(),
                                       capacities.end()));
     const std::vector<CoarseLevel> levels = coarsen(g, copts);
-    st.levels = static_cast<int>(levels.size());
-    st.coarsen_ms = ms_since(t0);
     coarsen_span.finish();
 
     const partition::InteractionGraph& coarsest =
@@ -77,18 +50,14 @@ multilevel_partition(const partition::InteractionGraph& g,
         static_cast<std::size_t>(g.num_qubits()), 1);
     const std::vector<int>& coarsest_weights =
         levels.empty() ? unit_weights : levels.back().vertex_weight;
-    st.coarsest_vertices = coarsest.num_qubits();
 
     // ---- Initial partition ----
-    t0 = clock_type::now();
     obs::Span initial_span("initial");
     std::vector<NodeId> part = initial_partition(
         coarsest, coarsest_weights, capacities, cost);
-    st.initial_ms = ms_since(t0);
     initial_span.finish();
 
     // ---- Uncoarsen + refine ----
-    t0 = clock_type::now();
     obs::Span refine_span("refine");
     RefineOptions ropts;
     ropts.max_rounds = opts.refine_rounds;
@@ -99,7 +68,7 @@ multilevel_partition(const partition::InteractionGraph& g,
         const std::vector<int>& vw =
             li == 0 ? unit_weights : levels[li - 1].vertex_weight;
         rebalance(cur, vw, capacities, cost, part);
-        st.refine.merge(refine(cur, vw, capacities, cost, part, ropts));
+        refine(cur, vw, capacities, cost, part, ropts);
         if (li == 0)
             break;
         // Project onto the next finer level: each fine vertex inherits
@@ -110,7 +79,6 @@ multilevel_partition(const partition::InteractionGraph& g,
             finer[v] = part[static_cast<std::size_t>(map[v])];
         part = std::move(finer);
     }
-    st.refine_ms = ms_since(t0);
     refine_span.finish();
 
     // Level-0 rebalance always succeeds when total capacity suffices
@@ -131,22 +99,12 @@ multilevel_partition(const partition::InteractionGraph& g,
 
 std::vector<NodeId>
 multilevel_partition(const partition::InteractionGraph& g,
-                     const hw::Machine& m, const MultilevelOptions& opts,
-                     MultilevelStats* stats)
+                     const hw::Machine& m, const MultilevelOptions& opts)
 {
     const CostModel cost = opts.topology_aware
                                ? CostModel::from_machine(m)
                                : CostModel::flat(m.num_nodes);
-    return multilevel_partition(g, m.capacities(), cost, opts, stats);
-}
-
-hw::QubitMapping
-multilevel_map(const qir::Circuit& c, const hw::Machine& m,
-               const MultilevelOptions& opts, MultilevelStats* stats)
-{
-    const partition::InteractionGraph g =
-        partition::InteractionGraph::from_circuit(c);
-    return hw::QubitMapping(multilevel_partition(g, m, opts, stats));
+    return multilevel_partition(g, m.capacities(), cost, opts);
 }
 
 } // namespace autocomm::multilevel

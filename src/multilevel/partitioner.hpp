@@ -44,18 +44,6 @@ struct MultilevelOptions
     support::ThreadPool* pool = nullptr;
 };
 
-/** Per-phase wall time and work counters of one run (the perf-breakdown
- * substrate for bench_compiler_perf / bench_partition). */
-struct MultilevelStats
-{
-    int levels = 0;          ///< coarsening levels built
-    int coarsest_vertices = 0;
-    double coarsen_ms = 0.0;
-    double initial_ms = 0.0;
-    double refine_ms = 0.0;  ///< includes rebalance + projection
-    RefineStats refine;      ///< rounds/moves summed over levels
-};
-
 /**
  * Partition the vertices of @p g onto capacities.size() nodes under
  * @p cost, never exceeding any node's capacity. Throws
@@ -66,8 +54,7 @@ std::vector<NodeId>
 multilevel_partition(const partition::InteractionGraph& g,
                      const std::vector<int>& capacities,
                      const CostModel& cost,
-                     const MultilevelOptions& opts = {},
-                     MultilevelStats* stats = nullptr);
+                     const MultilevelOptions& opts = {});
 
 /**
  * Convenience over a machine: capacities from m.capacities(), cost from
@@ -77,13 +64,6 @@ multilevel_partition(const partition::InteractionGraph& g,
 std::vector<NodeId>
 multilevel_partition(const partition::InteractionGraph& g,
                      const hw::Machine& m,
-                     const MultilevelOptions& opts = {},
-                     MultilevelStats* stats = nullptr);
-
-/** Convenience: partition a circuit's interaction graph into a
- * QubitMapping. */
-hw::QubitMapping multilevel_map(const qir::Circuit& c, const hw::Machine& m,
-                                const MultilevelOptions& opts = {},
-                                MultilevelStats* stats = nullptr);
+                     const MultilevelOptions& opts = {});
 
 } // namespace autocomm::multilevel

@@ -39,17 +39,11 @@ struct RefineOptions
     support::ThreadPool* pool = nullptr;
 };
 
-/** What one refine() call did (feeds bench_partition / perf CSVs). */
+/** What one refine() call did: move rounds run and moves applied. */
 struct RefineStats
 {
     int rounds = 0;
     std::size_t moves = 0;
-
-    void merge(const RefineStats& o)
-    {
-        rounds += o.rounds;
-        moves += o.moves;
-    }
 };
 
 /**

@@ -4,10 +4,10 @@
  * default contract, span recording/nesting/thread attribution, counter
  * and histogram correctness (percentiles on known distributions),
  * per-cell metric scopes, gauges and the resource sampler, the
- * flight-recorder ring, the stats-diff regression harness,
- * Chrome-trace and stats JSON well-formedness (parsed back with the
- * cache's own JSON parser), and the pure-observer guarantee — sweep
- * CSVs are byte-identical with everything enabled at any thread count.
+ * flight-recorder ring, Chrome-trace and stats JSON well-formedness
+ * (parsed back with the cache's own JSON parser), and the pure-observer
+ * guarantee — sweep CSVs are byte-identical with everything enabled at
+ * any thread count.
  */
 #include <gtest/gtest.h>
 
@@ -28,7 +28,6 @@
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
-#include "obs/statsdiff.hpp"
 #include "obs/trace.hpp"
 #include "support/log.hpp"
 
@@ -606,121 +605,6 @@ TEST(ObsRing, UnboundedBelowCapacity)
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(events[i].label, std::to_string(i));
     obs::set_ring_capacity(0);
-}
-
-// ------------------------------------------------------------- statsdiff
-
-/** A minimal stats doc: one counter and one histogram. */
-std::string
-stats_doc(double counter, double p50, double p95, double sum_ms)
-{
-    Json hist = Json::object();
-    hist.set("count", Json::number(10LL));
-    hist.set("sum_ms", Json::number(sum_ms));
-    hist.set("p50_ms", Json::number(p50));
-    hist.set("p95_ms", Json::number(p95));
-    Json hists = Json::object();
-    hists.set("cell", std::move(hist));
-    Json counters = Json::object();
-    counters.set("cache.hits", Json::number(counter));
-    Json doc = Json::object();
-    doc.set("counters", std::move(counters));
-    doc.set("histograms", std::move(hists));
-    return doc.dump();
-}
-
-TEST(ObsStatsDiff, SelfCompareIsClean)
-{
-    const std::string doc = stats_doc(5, 10.0, 20.0, 150.0);
-    const obs::StatsDiffResult r = obs::diff_stats(doc, doc);
-    EXPECT_TRUE(r.ok());
-    EXPECT_TRUE(r.findings.empty());
-}
-
-TEST(ObsStatsDiff, LatencyRegressionBeyondThresholdFails)
-{
-    const std::string base = stats_doc(5, 10.0, 20.0, 150.0);
-    const std::string slow = stats_doc(5, 10.0, 30.0, 160.0);
-    obs::StatsDiffOptions opts;
-    opts.threshold_pct = 25.0;
-    const obs::StatsDiffResult r = obs::diff_stats(base, slow, opts);
-    EXPECT_FALSE(r.ok()); // p95 +50% > 25%
-    EXPECT_NE(r.report().find("REGRESSION"), std::string::npos);
-
-    // A generous threshold lets the same delta through.
-    opts.threshold_pct = 75.0;
-    EXPECT_TRUE(obs::diff_stats(base, slow, opts).ok());
-}
-
-TEST(ObsStatsDiff, LatencyImprovementIsANoteNotAFailure)
-{
-    const std::string base = stats_doc(5, 10.0, 20.0, 150.0);
-    const std::string fast = stats_doc(5, 2.0, 4.0, 30.0);
-    const obs::StatsDiffResult r = obs::diff_stats(base, fast);
-    EXPECT_TRUE(r.ok());
-    EXPECT_FALSE(r.findings.empty()); // still reported
-}
-
-TEST(ObsStatsDiff, CounterDriftRules)
-{
-    const std::string base = stats_doc(100, 10.0, 20.0, 150.0);
-    // Within threshold: note only.
-    EXPECT_TRUE(
-        obs::diff_stats(base, stats_doc(110, 10.0, 20.0, 150.0)).ok());
-    // Beyond threshold, either direction: regression.
-    EXPECT_FALSE(
-        obs::diff_stats(base, stats_doc(200, 10.0, 20.0, 150.0)).ok());
-    EXPECT_FALSE(
-        obs::diff_stats(base, stats_doc(10, 10.0, 20.0, 150.0)).ok());
-    // Zero/nonzero flips always fail, regardless of threshold.
-    obs::StatsDiffOptions loose;
-    loose.threshold_pct = 1e9;
-    EXPECT_FALSE(
-        obs::diff_stats(base, stats_doc(0, 10.0, 20.0, 150.0), loose)
-            .ok());
-}
-
-TEST(ObsStatsDiff, AllowlistMutesExactAndPrefixMatches)
-{
-    const std::string base = stats_doc(100, 10.0, 20.0, 150.0);
-    const std::string bad = stats_doc(0, 10.0, 40.0, 300.0);
-    obs::StatsDiffOptions opts;
-    opts.allow = {"cache.hits", "cell"};
-    EXPECT_TRUE(obs::diff_stats(base, bad, opts).ok());
-    opts.allow = {"cache.*", "cel*"};
-    EXPECT_TRUE(obs::diff_stats(base, bad, opts).ok());
-    opts.allow = {"cache.*"}; // histogram still gated
-    EXPECT_FALSE(obs::diff_stats(base, bad, opts).ok());
-}
-
-TEST(ObsStatsDiff, MissingHistogramIsARegressionNewOneIsNot)
-{
-    const std::string with = stats_doc(5, 10.0, 20.0, 150.0);
-    Json doc = Json::object();
-    Json counters = Json::object();
-    counters.set("cache.hits", Json::number(5.0));
-    doc.set("counters", std::move(counters));
-    doc.set("histograms", Json::object());
-    const std::string without = doc.dump();
-
-    EXPECT_FALSE(obs::diff_stats(with, without).ok());
-    EXPECT_TRUE(obs::diff_stats(without, with).ok());
-}
-
-TEST(ObsStatsDiff, MinSumSkipsMicroLatencyNoise)
-{
-    const std::string base = stats_doc(5, 0.010, 0.020, 0.5);
-    const std::string jitter = stats_doc(5, 0.020, 0.040, 0.9);
-    EXPECT_FALSE(obs::diff_stats(base, jitter).ok());
-    obs::StatsDiffOptions opts;
-    opts.min_sum_ms = 5.0;
-    EXPECT_TRUE(obs::diff_stats(base, jitter, opts).ok());
-}
-
-TEST(ObsStatsDiff, MalformedInputThrows)
-{
-    EXPECT_THROW(obs::diff_stats("{", "{}"), support::UserError);
-    EXPECT_THROW(obs::diff_stats("{}", "[1,2]"), support::UserError);
 }
 
 // ---------------------------------------------- gc + stats JSON schema
