@@ -187,6 +187,7 @@ reorder_with_blocks(const qir::Circuit& c,
     // the last gate of its transitive window, which is its own last
     // member (children lie strictly inside).
     qir::Circuit out(c.num_qubits(), c.num_cbits());
+    out.reserve(c.size());
     for (std::size_t i = 0; i < c.size(); ++i) {
         if (owner[i] == -1) {
             out.add(c[i]);

@@ -81,7 +81,7 @@ struct Scheduler
     std::vector<char> fuse_next;
 
     SlotPool slots{m.num_nodes, m.comm_qubits_per_node};
-    LinkPool links{m.link};
+    LinkPool links{m.link, m.num_nodes};
     EprPlanCache plans{m, /*note_decisions=*/true};
     std::vector<double> qready;
     ScheduleResult res;

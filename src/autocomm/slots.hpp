@@ -13,8 +13,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -23,6 +25,44 @@
 #include "qir/types.hpp"
 
 namespace autocomm::pass {
+
+/** Node count up to which the per-machine tables below index node pairs
+ * densely (n * n entries); larger machines fall back to sparse maps so
+ * memory stays proportional to the pairs actually used. */
+inline constexpr int kDenseNodeLimit = 256;
+
+/**
+ * The k-th smallest of the free times @p v (non-empty; k clamped to
+ * [1, v.size()]). The schedulers ask for k <= 2 on nearly every call, so
+ * those are single scans; a larger k partially sorts a copy in
+ * @p scratch, which the caller keeps and reuses so the query does not
+ * allocate.
+ */
+inline double
+kth_smallest(std::span<const double> v, int k, std::vector<double>& scratch)
+{
+    const std::size_t kth =
+        std::min(static_cast<std::size_t>(std::max(k, 1)), v.size());
+    if (kth == 1)
+        return *std::min_element(v.begin(), v.end());
+    if (kth == 2) {
+        double m1 = std::numeric_limits<double>::infinity();
+        double m2 = m1;
+        for (const double t : v) {
+            if (t < m1) {
+                m2 = m1;
+                m1 = t;
+            } else if (t < m2) {
+                m2 = t;
+            }
+        }
+        return m2;
+    }
+    scratch.assign(v.begin(), v.end());
+    const auto it = scratch.begin() + static_cast<std::ptrdiff_t>(kth - 1);
+    std::nth_element(scratch.begin(), it, scratch.end());
+    return *it;
+}
 
 /** Per-node communication-qubit slot pool with reservation semantics. */
 class SlotPool
@@ -44,35 +84,12 @@ class SlotPool
     }
 
     /** Earliest time @p k slots on @p node are simultaneously free (the
-     * k-th smallest free time; k is clamped to the pool size). The
-     * scheduler asks for k <= 2 on every pair preparation, so the common
-     * cases are allocation-free scans of the node's slot row. */
+     * k-th smallest free time; k is clamped to the pool size). */
     double
     earliest_k(NodeId node, int k) const
     {
         const auto& v = free_[static_cast<std::size_t>(node)];
-        if (k <= 1 || v.size() == 1)
-            return *std::min_element(v.begin(), v.end());
-        if (k == 2) {
-            double m1 = std::numeric_limits<double>::infinity();
-            double m2 = m1;
-            for (const double t : v) {
-                if (t < m1) {
-                    m2 = m1;
-                    m1 = t;
-                } else if (t < m2) {
-                    m2 = t;
-                }
-            }
-            return m2;
-        }
-        std::vector<double> copy = v;
-        const auto kth =
-            copy.begin() + (std::min<std::size_t>(
-                                static_cast<std::size_t>(k), copy.size()) -
-                            1);
-        std::nth_element(copy.begin(), kth, copy.end());
-        return *kth;
+        return kth_smallest(v, k, scratch_);
     }
 
     /**
@@ -98,35 +115,74 @@ class SlotPool
              [static_cast<std::size_t>(slot)] = until;
     }
 
+    /**
+     * Acquire two slots, no sooner than @p t_min, at every intermediate
+     * swap router of @p route (route order). Returns the latest start
+     * time granted. The slot ids are held in a buffer the pool reuses
+     * until release_routers(), so multi-hop routes do not allocate.
+     */
+    double
+    acquire_routers(const std::vector<NodeId>& route, double t_min)
+    {
+        router_slots_.clear();
+        double begin = t_min;
+        for (std::size_t i = 1; i + 1 < route.size(); ++i) {
+            const auto [r1, u1] = acquire(route[i], t_min);
+            const auto [r2, u2] = acquire(route[i], t_min);
+            begin = std::max({begin, u1, u2});
+            router_slots_.push_back(r1);
+            router_slots_.push_back(r2);
+        }
+        return begin;
+    }
+
+    /** End the reservations of the last acquire_routers() on the same
+     * @p route: every router slot frees up at @p until. */
+    void
+    release_routers(const std::vector<NodeId>& route, double until)
+    {
+        for (std::size_t i = 1; i + 1 < route.size(); ++i) {
+            release(route[i], router_slots_[2 * (i - 1)], until);
+            release(route[i], router_slots_[2 * (i - 1) + 1], until);
+        }
+    }
+
   private:
     std::vector<std::vector<double>> free_;
+    std::vector<int> router_slots_;
+    mutable std::vector<double> scratch_;
 };
 
 /**
  * Per-physical-link EPR-preparation channel pool. Each link owns as many
  * channels as its bandwidth (the machine's uniform `LinkModel::bandwidth`
- * unless the link carries an override; lazily materialized per link); an
- * elementary preparation occupies one channel for its duration. A
- * bandwidth of 0 means unlimited — every query on that link returns
- * "free now" and acquisition is a no-op, reproducing the paper's
- * contention-free links exactly.
+ * unless the link carries an override); an elementary preparation
+ * occupies one channel for its duration. A bandwidth of 0 means
+ * unlimited — every query on that link returns "free now" and
+ * acquisition is a no-op, reproducing the paper's contention-free links
+ * exactly.
+ *
+ * Each link's bandwidth is looked up in the model once, on first use,
+ * and its channel free times live at an offset in one flat array. Up to
+ * kDenseNodeLimit nodes the per-link entries are a dense n * n table;
+ * above it they are a sparse map of the links actually used.
  */
 class LinkPool
 {
   public:
     /** @p link must outlive the pool (both simulators pass the machine's
-     * own model). */
-    explicit LinkPool(const noise::LinkModel& link) : link_(&link) {}
+     * own model); @p num_nodes is the machine's node count. */
+    LinkPool(const noise::LinkModel& link, int num_nodes)
+        : link_(&link), unlimited_(link.unlimited_bandwidth()),
+          num_nodes_(num_nodes)
+    {
+        if (!unlimited_ && num_nodes <= kDenseNodeLimit)
+            dense_.resize(static_cast<std::size_t>(num_nodes) *
+                          static_cast<std::size_t>(num_nodes));
+    }
 
     /** True when no link constrains preparations at all. */
-    bool unlimited() const { return link_->unlimited_bandwidth(); }
-
-    /** Channel count of link (a, b); 0 = unlimited. */
-    int
-    bandwidth_of(NodeId a, NodeId b) const
-    {
-        return link_->link_bandwidth(a, b);
-    }
+    bool unlimited() const { return unlimited_; }
 
     /** Earliest time @p k channels of link (a, b) are simultaneously
      * free; 0 when the link is unlimited. @p k is clamped to the link's
@@ -134,13 +190,8 @@ class LinkPool
     double
     earliest_k(NodeId a, NodeId b, int k)
     {
-        const int bw = bandwidth_of(a, b);
-        if (bw <= 0)
-            return 0.0;
-        std::vector<double> copy = chans(a, b, bw);
-        const auto kth = copy.begin() + (std::min(k, bw) - 1);
-        std::nth_element(copy.begin(), kth, copy.end());
-        return *kth;
+        const std::span<double> v = channels(a, b);
+        return v.empty() ? 0.0 : kth_smallest(v, k, scratch_);
     }
 
     /**
@@ -150,25 +201,21 @@ class LinkPool
     void
     acquire(NodeId a, NodeId b, int k)
     {
-        const int bw = bandwidth_of(a, b);
-        if (bw <= 0)
-            return;
-        std::vector<double>& v = chans(a, b, bw);
-        for (int i = 0; i < std::min(k, bw); ++i) {
-            const auto it = std::min_element(v.begin(), v.end());
-            *it = std::numeric_limits<double>::infinity();
-        }
+        const std::span<double> v = channels(a, b);
+        const std::size_t n =
+            std::min(static_cast<std::size_t>(std::max(k, 0)), v.size());
+        for (std::size_t i = 0; i < n; ++i)
+            *std::min_element(v.begin(), v.end()) =
+                std::numeric_limits<double>::infinity();
     }
 
     /** End a reservation of @p k channels: they free up at @p until. */
     void
     release(NodeId a, NodeId b, int k, double until)
     {
-        const int bw = bandwidth_of(a, b);
-        if (bw <= 0)
-            return;
-        std::vector<double>& v = chans(a, b, bw);
-        int remaining = std::min(k, bw);
+        const std::span<double> v = channels(a, b);
+        std::size_t remaining =
+            std::min(static_cast<std::size_t>(std::max(k, 0)), v.size());
         for (double& t : v) {
             if (remaining == 0)
                 break;
@@ -180,21 +227,46 @@ class LinkPool
     }
 
   private:
-    std::vector<double>&
-    chans(NodeId a, NodeId b, int bw)
+    /** One link's bandwidth (-1 until first use) and the offset of its
+     * channels in free_. */
+    struct Link
     {
-        const auto k = a < b ? std::make_pair(a, b) : std::make_pair(b, a);
-        const auto it = chans_.find(k);
-        if (it != chans_.end())
-            return it->second;
-        return chans_
-            .emplace(k,
-                     std::vector<double>(static_cast<std::size_t>(bw), 0.0))
-            .first->second;
+        int bandwidth = -1;
+        std::size_t offset = 0;
+    };
+
+    /** The channel free times of link (a, b); empty when the link is
+     * unlimited. Valid until the next call adds a link to free_. */
+    std::span<double>
+    channels(NodeId a, NodeId b)
+    {
+        if (unlimited_)
+            return {};
+        const NodeId lo = std::min(a, b);
+        const NodeId hi = std::max(a, b);
+        Link& l = dense_.empty()
+                      ? sparse_[std::make_pair(lo, hi)]
+                      : dense_[static_cast<std::size_t>(lo) *
+                                   static_cast<std::size_t>(num_nodes_) +
+                               static_cast<std::size_t>(hi)];
+        if (l.bandwidth < 0) {
+            l.bandwidth = std::max(link_->link_bandwidth(lo, hi), 0);
+            l.offset = free_.size();
+            free_.resize(free_.size() +
+                             static_cast<std::size_t>(l.bandwidth),
+                         0.0);
+        }
+        return {free_.data() + l.offset,
+                static_cast<std::size_t>(l.bandwidth)};
     }
 
     const noise::LinkModel* link_;
-    std::map<std::pair<NodeId, NodeId>, std::vector<double>> chans_;
+    bool unlimited_;
+    int num_nodes_;
+    std::vector<Link> dense_;
+    std::map<std::pair<NodeId, NodeId>, Link> sparse_;
+    std::vector<double> free_;
+    std::vector<double> scratch_;
 };
 
 /**
@@ -233,9 +305,6 @@ class EprPlanCache
                           bool note_decisions = false)
         : note_(note_decisions), m_(&m)
     {
-        // Dense O(1) indexing for machines of practical size; huge node
-        // counts fall back to the sparse map so memory stays proportional
-        // to the pairs actually used.
         if (m.num_nodes <= kDenseNodeLimit) {
             const auto n = static_cast<std::size_t>(m.num_nodes);
             dense_.resize(n * n);
@@ -294,8 +363,6 @@ class EprPlanCache
     }
 
   private:
-    static constexpr int kDenseNodeLimit = 256;
-
     /** Purification-depth decision for a freshly built plan: how many
      * rounds the policy chose for this pair/route, and the fidelity it
      * delivers against the machine's target. */
@@ -381,23 +448,13 @@ reserve_epr_route(SlotPool& slots, LinkPool& links,
     auto [sb, tb] = slots.acquire(b, start);
     res.slot_a = sa;
     res.slot_b = sb;
-    double begin = std::max(ta, tb);
-    std::vector<std::pair<NodeId, std::pair<int, int>>> routers;
-    for (std::size_t i = 1; i + 1 < route.size(); ++i) {
-        const NodeId r = route[i];
-        auto [r1, u1] = slots.acquire(r, start);
-        auto [r2, u2] = slots.acquire(r, start);
-        begin = std::max({begin, u1, u2});
-        routers.push_back({r, {r1, r2}});
-    }
+    const double begin =
+        std::max({ta, tb, slots.acquire_routers(route, start)});
     for (std::size_t i = 0; i + 1 < route.size(); ++i)
         links.acquire(route[i], route[i + 1], chan);
 
     res.done = begin + duration;
-    for (const auto& [r, ss] : routers) {
-        slots.release(r, ss.first, res.done);
-        slots.release(r, ss.second, res.done);
-    }
+    slots.release_routers(route, res.done);
     for (std::size_t i = 0; i + 1 < route.size(); ++i)
         links.release(route[i], route[i + 1], chan, res.done);
     return res;

@@ -39,7 +39,7 @@ compile_gptp(const qir::Circuit& c, const hw::QubitMapping& initial,
     std::vector<double> qready(nq, 0.0);
     std::vector<double> last_use(nq, -1.0);
     pass::SlotPool slots(m.num_nodes, m.comm_qubits_per_node);
-    pass::LinkPool links(m.link);
+    pass::LinkPool links(m.link, m.num_nodes);
 
     GptpResult res;
     double makespan = 0.0;

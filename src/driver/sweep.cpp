@@ -326,11 +326,15 @@ struct SharedWork
     const FerrariBaseline* ferrari = nullptr;
 };
 
-/** The compile half of run_cell, over prepared inputs. Drops its
- * reference to @p shared.blocks once it holds its own copy. */
+/** The compile half of run_cell, over prepared inputs: @p stats is
+ * circuit.stats() and @p remote_cx is mapping.count_remote(circuit),
+ * computed once per program and per mapping. Drops its reference to
+ * @p shared.blocks once it holds its own copy. */
 SweepRow
 run_cell_prepared(const SweepCell& cell, const qir::Circuit& circuit,
-                  const hw::QubitMapping& mapping, SharedWork& shared)
+                  const qir::CircuitStats& stats,
+                  const hw::QubitMapping& mapping, std::size_t remote_cx,
+                  SharedWork& shared)
 {
     using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
@@ -342,8 +346,8 @@ run_cell_prepared(const SweepCell& cell, const qir::Circuit& circuit,
     const hw::Machine machine = machine_for(cell);
     mapping.validate(machine);
 
-    row.stats = circuit.stats();
-    row.remote_cx = mapping.count_remote(circuit);
+    row.stats = stats;
+    row.remote_cx = remote_cx;
 
     if (cell.stats_only) {
         row.ok = true;
@@ -420,7 +424,8 @@ run_cell(const SweepCell& cell)
     }
     mapping.validate(machine);
     SharedWork own;
-    return run_cell_prepared(cell, circuit, mapping, own);
+    return run_cell_prepared(cell, circuit, circuit.stats(), mapping,
+                             mapping.count_remote(circuit), own);
 }
 
 std::vector<SweepRow>
@@ -482,6 +487,7 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
     struct Program
     {
         qir::Circuit circuit;
+        qir::CircuitStats stats;
         std::optional<partition::InteractionGraph> graph;
         std::string error;
         bool transient_error = false;
@@ -495,6 +501,7 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
          * machine by construction of the key). */
         const SweepCell* cell = nullptr;
         std::optional<hw::QubitMapping> map;
+        std::size_t remote_cx = 0; ///< map->count_remote(circuit)
         std::string error;
         bool transient_error = false;
     };
@@ -687,8 +694,9 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
                 transient[i] = mp.transient_error;
                 throw support::UserError(mp.error);
             }
-            rows[i] = run_cell_prepared(
-                cells[i], programs[mp.program].circuit, *mp.map, shared[i]);
+            const Program& prog = programs[mp.program];
+            rows[i] = run_cell_prepared(cells[i], prog.circuit, prog.stats,
+                                        *mp.map, mp.remote_cx, shared[i]);
             obs::count("pipeline.cells_completed");
         } catch (const std::exception& e) {
             // A cell that threw before copying its blocks still lets go.
@@ -771,6 +779,7 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
                                                  *prog.graph,
                                                  machine_for(*mp.cell));
                 }
+                mp.remote_cx = mp.map->count_remote(prog.circuit);
             } catch (const std::exception& e) {
                 if (opts.rethrow_errors) {
                     mexc[m] = std::current_exception();
@@ -793,8 +802,8 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
             launch([&, g]() { baseline_stage(g); });
     };
 
-    // Stage 1: generate + decompose one distinct program, build its
-    // interaction graph.
+    // Stage 1: generate + decompose one distinct program, count its
+    // gate stats, build its interaction graph.
     auto program_stage = [&](std::size_t p) {
         bool ready = false;
         try {
@@ -804,6 +813,7 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
                     circuits::make_benchmark(program_cell[p]->spec,
                                              program_cell[p]->seed));
             }
+            programs[p].stats = programs[p].circuit.stats();
             obs::Span span("graph", program_cell[p]->spec.label());
             programs[p].graph = partition::InteractionGraph::from_circuit(
                 programs[p].circuit);

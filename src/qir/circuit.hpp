@@ -53,6 +53,10 @@ class Circuit
     std::vector<Gate>::const_iterator begin() const { return gates_.begin(); }
     std::vector<Gate>::const_iterator end() const { return gates_.end(); }
 
+    /** Reserve storage for @p n gates, so appending up to that many does
+     * not reallocate. */
+    void reserve(std::size_t n) { gates_.reserve(n); }
+
     /** Append a gate; validates operand indices. */
     Circuit& add(const Gate& g);
 

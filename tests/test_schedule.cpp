@@ -5,10 +5,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "autocomm/pipeline.hpp"
+#include "autocomm/slots.hpp"
 #include "circuits/library.hpp"
 #include "circuits/qft.hpp"
 #include "qir/decompose.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -293,6 +302,249 @@ TEST(Schedule, LedgerAttributesRawPairsToPhysicalLinks)
     EXPECT_EQ(r.schedule.ledger.raw_on_link(0, 1), 1u);
     EXPECT_EQ(r.schedule.ledger.raw_on_link(1, 2), 1u);
     EXPECT_EQ(r.schedule.ledger.raw_on_link(0, 2), 0u);
+}
+
+/**
+ * Reference link pool: a std::map of per-link channel vectors created on
+ * first use, with the bandwidth looked up in the model on every call.
+ * LinkPool must return the same times for the same call sequence.
+ */
+class MapLinkPool
+{
+  public:
+    explicit MapLinkPool(const noise::LinkModel& link) : link_(&link) {}
+
+    bool unlimited() const { return link_->unlimited_bandwidth(); }
+
+    double
+    earliest_k(NodeId a, NodeId b, int k)
+    {
+        const int bw = link_->link_bandwidth(a, b);
+        if (bw <= 0)
+            return 0.0;
+        std::vector<double> copy = chans(a, b, bw);
+        const auto kth = copy.begin() + (std::min(k, bw) - 1);
+        std::nth_element(copy.begin(), kth, copy.end());
+        return *kth;
+    }
+
+    void
+    acquire(NodeId a, NodeId b, int k)
+    {
+        const int bw = link_->link_bandwidth(a, b);
+        if (bw <= 0)
+            return;
+        std::vector<double>& v = chans(a, b, bw);
+        for (int i = 0; i < std::min(k, bw); ++i)
+            *std::min_element(v.begin(), v.end()) =
+                std::numeric_limits<double>::infinity();
+    }
+
+    void
+    release(NodeId a, NodeId b, int k, double until)
+    {
+        const int bw = link_->link_bandwidth(a, b);
+        if (bw <= 0)
+            return;
+        int remaining = std::min(k, bw);
+        for (double& t : chans(a, b, bw)) {
+            if (remaining == 0)
+                break;
+            if (t == std::numeric_limits<double>::infinity()) {
+                t = until;
+                --remaining;
+            }
+        }
+    }
+
+  private:
+    std::vector<double>&
+    chans(NodeId a, NodeId b, int bw)
+    {
+        const auto key = std::make_pair(std::min(a, b), std::max(a, b));
+        return chans_
+            .try_emplace(key, static_cast<std::size_t>(bw), 0.0)
+            .first->second;
+    }
+
+    const noise::LinkModel* link_;
+    std::map<std::pair<NodeId, NodeId>, std::vector<double>> chans_;
+};
+
+/** reserve_epr_route written against MapLinkPool, with the router slot
+ * ids in a fresh vector per call. */
+EprReservation
+reference_reserve(SlotPool& slots, MapLinkPool& links,
+                  const std::vector<NodeId>& route, int chan,
+                  double duration, double t_min)
+{
+    const NodeId a = route.front();
+    const NodeId b = route.back();
+    double start = std::max({slots.earliest(a), slots.earliest(b), t_min});
+    for (std::size_t i = 1; i + 1 < route.size(); ++i)
+        start = std::max(start, slots.earliest_k(route[i], 2));
+    if (!links.unlimited())
+        for (std::size_t i = 0; i + 1 < route.size(); ++i)
+            start = std::max(
+                start, links.earliest_k(route[i], route[i + 1], chan));
+
+    EprReservation res;
+    auto [sa, ta] = slots.acquire(a, start);
+    auto [sb, tb] = slots.acquire(b, start);
+    res.slot_a = sa;
+    res.slot_b = sb;
+    double begin = std::max(ta, tb);
+    std::vector<std::pair<NodeId, std::pair<int, int>>> routers;
+    for (std::size_t i = 1; i + 1 < route.size(); ++i) {
+        const NodeId r = route[i];
+        auto [r1, u1] = slots.acquire(r, start);
+        auto [r2, u2] = slots.acquire(r, start);
+        begin = std::max({begin, u1, u2});
+        routers.push_back({r, {r1, r2}});
+    }
+    for (std::size_t i = 0; i + 1 < route.size(); ++i)
+        links.acquire(route[i], route[i + 1], chan);
+    res.done = begin + duration;
+    for (const auto& [r, ss] : routers) {
+        slots.release(r, ss.first, res.done);
+        slots.release(r, ss.second, res.done);
+    }
+    for (std::size_t i = 0; i + 1 < route.size(); ++i)
+        links.release(route[i], route[i + 1], chan, res.done);
+    return res;
+}
+
+TEST(Slots, LinkPoolMatchesMapReference)
+{
+    // Random earliest_k / acquire / release sequences with several
+    // reservations outstanding at once, over uniform bandwidths 1-3 with
+    // per-link overrides (0 = an unlimited link among capped ones) and
+    // channel demands k in {1, 2, 3, 4, 8}.
+    const int kDemands[] = {1, 2, 3, 4, 8};
+    for (int bandwidth = 1; bandwidth <= 3; ++bandwidth) {
+        for (std::uint64_t seed = 0; seed < 4; ++seed) {
+            const int n = 6;
+            noise::LinkModel link;
+            link.bandwidth = bandwidth;
+            link.set_link_bandwidth(0, 1, 0);
+            link.set_link_bandwidth(2, 3, 4);
+            link.set_link_bandwidth(4, 5, 1);
+            LinkPool pool(link, n);
+            MapLinkPool ref(link);
+            ASSERT_EQ(pool.unlimited(), ref.unlimited());
+
+            support::Rng rng(seed * 31 + static_cast<std::uint64_t>(
+                                             bandwidth));
+            struct Held
+            {
+                NodeId a, b;
+                int k;
+            };
+            std::vector<Held> held;
+            double clock = 0.0;
+            for (int step = 0; step < 2000; ++step) {
+                const NodeId a = static_cast<NodeId>(rng.next_below(n));
+                NodeId b = static_cast<NodeId>(rng.next_below(n - 1));
+                if (b >= a)
+                    ++b;
+                const int k = kDemands[rng.next_below(5)];
+                switch (rng.next_below(3)) {
+                  case 0:
+                    ASSERT_EQ(pool.earliest_k(a, b, k),
+                              ref.earliest_k(a, b, k))
+                        << "bandwidth " << bandwidth << " seed " << seed
+                        << " step " << step;
+                    break;
+                  case 1:
+                    pool.acquire(a, b, k);
+                    ref.acquire(a, b, k);
+                    held.push_back({a, b, k});
+                    break;
+                  default:
+                    if (held.empty())
+                        break;
+                    const auto i = static_cast<std::size_t>(
+                        rng.next_below(held.size()));
+                    clock += static_cast<double>(rng.next_below(4));
+                    pool.release(held[i].a, held[i].b, held[i].k, clock);
+                    ref.release(held[i].a, held[i].b, held[i].k, clock);
+                    held.erase(held.begin() +
+                               static_cast<std::ptrdiff_t>(i));
+                    break;
+                }
+            }
+            for (NodeId a = 0; a < n; ++a) {
+                for (NodeId b = 0; b < n; ++b) {
+                    if (a == b)
+                        continue;
+                    for (const int k : kDemands)
+                        EXPECT_EQ(pool.earliest_k(a, b, k),
+                                  ref.earliest_k(a, b, k));
+                }
+            }
+        }
+    }
+}
+
+/** Run the same reservations on @p route through reserve_epr_route and
+ * the reference, releasing each pair's endpoints a fixed time after it
+ * is ready, and require identical slots and completion times. */
+void
+expect_reservations_match(const hw::Machine& m,
+                          const std::vector<NodeId>& route, int chan)
+{
+    ASSERT_GE(route.size(), 3u) << "not a multi-hop route";
+    SlotPool slots(m.num_nodes, m.comm_qubits_per_node);
+    SlotPool ref_slots(m.num_nodes, m.comm_qubits_per_node);
+    LinkPool links(m.link, m.num_nodes);
+    MapLinkPool ref_links(m.link);
+    for (int i = 0; i < 20; ++i) {
+        // Alternate the full route with its first hop, so reservations
+        // contend on the shared link and router.
+        const std::vector<NodeId> r =
+            i % 2 == 0 ? route
+                       : std::vector<NodeId>{route[0], route[1]};
+        const double t_min = static_cast<double>(i % 3);
+        const EprReservation got =
+            reserve_epr_route(slots, links, r, chan, 5.0, t_min);
+        const EprReservation want =
+            reference_reserve(ref_slots, ref_links, r, chan, 5.0, t_min);
+        ASSERT_EQ(got.slot_a, want.slot_a) << "reservation " << i;
+        ASSERT_EQ(got.slot_b, want.slot_b) << "reservation " << i;
+        ASSERT_EQ(got.done, want.done) << "reservation " << i;
+        const double until = got.done + 1.0;
+        slots.release(r.front(), got.slot_a, until);
+        slots.release(r.back(), got.slot_b, until);
+        ref_slots.release(r.front(), want.slot_a, until);
+        ref_slots.release(r.back(), want.slot_b, until);
+    }
+    for (NodeId v = 0; v < m.num_nodes; ++v)
+        EXPECT_EQ(slots.earliest_k(v, 2), ref_slots.earliest_k(v, 2));
+}
+
+TEST(Slots, ReserveMultiHopRingRouteMatchesReference)
+{
+    hw::Machine m = hw::Machine::homogeneous(8, 4, hw::Topology::Ring);
+    m.comm_qubits_per_node = 3;
+    m.link.bandwidth = 2;
+    const std::vector<NodeId> route = m.path(0, 3);
+    ASSERT_EQ(route.size(), 4u);
+    for (const int chan : {1, 2, 4})
+        expect_reservations_match(m, route, chan);
+}
+
+TEST(Slots, ReserveAboveDenseLimitUsesSparseTable)
+{
+    // Above kDenseNodeLimit the pool keys links in a sparse map.
+    const int n = kDenseNodeLimit + 44;
+    hw::Machine m = hw::Machine::homogeneous(n, 2, hw::Topology::Ring);
+    m.comm_qubits_per_node = 4;
+    m.link.bandwidth = 2;
+    m.link.set_link_bandwidth(n - 3, n - 2, 1);
+    const std::vector<NodeId> route = m.path(n - 3, 0);
+    ASSERT_EQ(route.size(), 4u);
+    for (const int chan : {1, 2})
+        expect_reservations_match(m, route, chan);
 }
 
 } // namespace

@@ -507,6 +507,55 @@ TEST(Sweep, MemoizedSweepMatchesDirectRunCell)
     obs::Registry::instance().reset();
 }
 
+TEST(Sweep, SharedStatsAndCappedLinksMatchRunCell)
+{
+    // run_sweep counts gate stats once per program and remote CX once per
+    // mapping, and schedules capped links through the pooled channel
+    // table. Rows must still equal run_cell's: a stats_only cell reads
+    // the shared counts, and bandwidth-2 cells with an unlimited 0-1
+    // override drive the capped-link and multi-hop router paths (purified
+    // pairs ask for more channels than a link has).
+    SweepGrid grid;
+    grid.families = {circuits::Family::QFT, circuits::Family::BV};
+    grid.qubit_counts = {12};
+    grid.node_counts = {4};
+    grid.topologies = {hw::Topology::AllToAll, hw::Topology::Ring};
+    grid.link_fidelities = {0.95};
+    grid.target_fidelities = {0.97};
+    grid.link_bandwidths = {0, 2};
+    grid.link_bandwidth_overrides = {{0, 1, 0.0}};
+    grid.with_baseline = true;
+    std::vector<SweepCell> cells = grid.cells();
+    ASSERT_EQ(cells.size(), 8u);
+    SweepCell counts = cells[3];
+    ASSERT_EQ(counts.link_bandwidth, 2);
+    ASSERT_EQ(counts.topology, hw::Topology::Ring);
+    counts.stats_only = true;
+    cells.push_back(counts);
+    cells[3].with_gptp = true;
+
+    std::vector<SweepRow> direct;
+    for (const SweepCell& cell : cells)
+        direct.push_back(driver::run_cell(cell));
+    for (const SweepRow& r : direct)
+        ASSERT_TRUE(r.ok) << r.cell.label() << ": " << r.error;
+    ASSERT_GT(direct.back().remote_cx, 0u);
+    const std::string expected = driver::sweep_csv(direct).to_string();
+
+    for (std::size_t threads : {1u, 8u}) {
+        SweepOptions opts;
+        opts.num_threads = threads;
+        const std::vector<SweepRow> rows = driver::run_sweep(cells, opts);
+        EXPECT_EQ(driver::sweep_csv(rows).to_string(), expected)
+            << threads << " threads";
+        ASSERT_TRUE(rows[3].gptp_factors && direct[3].gptp_factors);
+        EXPECT_EQ(rows[3].gptp_factors->improv_factor,
+                  direct[3].gptp_factors->improv_factor);
+        EXPECT_EQ(rows[3].gptp_factors->lat_dec_factor,
+                  direct[3].gptp_factors->lat_dec_factor);
+    }
+}
+
 // ------------------------------------------------- CLI axis-list parsing
 
 TEST(SweepParse, IntListEchoesTheOffendingToken)
