@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <span>
@@ -25,11 +26,6 @@
 #include "qir/types.hpp"
 
 namespace autocomm::pass {
-
-/** Node count up to which the per-machine tables below index node pairs
- * densely (n * n entries); larger machines fall back to sparse maps so
- * memory stays proportional to the pairs actually used. */
-inline constexpr int kDenseNodeLimit = 256;
 
 /**
  * The k-th smallest of the free times @p v (non-empty; k clamped to
@@ -89,7 +85,8 @@ class SlotPool
     earliest_k(NodeId node, int k) const
     {
         const auto& v = free_[static_cast<std::size_t>(node)];
-        return kth_smallest(v, k, scratch_);
+        std::vector<double> scratch; // filled only when k > 2
+        return kth_smallest(v, k, scratch);
     }
 
     /**
@@ -150,7 +147,6 @@ class SlotPool
   private:
     std::vector<std::vector<double>> free_;
     std::vector<int> router_slots_;
-    mutable std::vector<double> scratch_;
 };
 
 /**
@@ -163,9 +159,9 @@ class SlotPool
  * exactly.
  *
  * Each link's bandwidth is looked up in the model once, on first use,
- * and its channel free times live at an offset in one flat array. Up to
- * kDenseNodeLimit nodes the per-link entries are a dense n * n table;
- * above it they are a sparse map of the links actually used.
+ * and its channel free times live at an offset in one flat array. The
+ * per-link entries form a dense table over the node pairs lo < hi: 8
+ * bytes per pair, half of what the machine's routing table spends.
  */
 class LinkPool
 {
@@ -173,12 +169,12 @@ class LinkPool
     /** @p link must outlive the pool (both simulators pass the machine's
      * own model); @p num_nodes is the machine's node count. */
     LinkPool(const noise::LinkModel& link, int num_nodes)
-        : link_(&link), unlimited_(link.unlimited_bandwidth()),
-          num_nodes_(num_nodes)
+        : link_(&link), unlimited_(link.unlimited_bandwidth())
     {
-        if (!unlimited_ && num_nodes <= kDenseNodeLimit)
-            dense_.resize(static_cast<std::size_t>(num_nodes) *
-                          static_cast<std::size_t>(num_nodes));
+        if (!unlimited_) {
+            const auto n = static_cast<std::size_t>(num_nodes);
+            links_.resize(n * (n - 1) / 2);
+        }
     }
 
     /** True when no link constrains preparations at all. */
@@ -231,27 +227,24 @@ class LinkPool
      * channels in free_. */
     struct Link
     {
-        int bandwidth = -1;
-        std::size_t offset = 0;
+        std::int32_t bandwidth = -1;
+        std::uint32_t offset = 0;
     };
 
-    /** The channel free times of link (a, b); empty when the link is
-     * unlimited. Valid until the next call adds a link to free_. */
+    /** The channel free times of link (a, b), a != b; empty when the
+     * link is unlimited. Valid until the next call adds a link to
+     * free_. */
     std::span<double>
     channels(NodeId a, NodeId b)
     {
         if (unlimited_)
             return {};
-        const NodeId lo = std::min(a, b);
-        const NodeId hi = std::max(a, b);
-        Link& l = dense_.empty()
-                      ? sparse_[std::make_pair(lo, hi)]
-                      : dense_[static_cast<std::size_t>(lo) *
-                                   static_cast<std::size_t>(num_nodes_) +
-                               static_cast<std::size_t>(hi)];
+        const auto lo = static_cast<std::size_t>(std::min(a, b));
+        const auto hi = static_cast<std::size_t>(std::max(a, b));
+        Link& l = links_[hi * (hi - 1) / 2 + lo];
         if (l.bandwidth < 0) {
-            l.bandwidth = std::max(link_->link_bandwidth(lo, hi), 0);
-            l.offset = free_.size();
+            l.bandwidth = std::max(link_->link_bandwidth(a, b), 0);
+            l.offset = static_cast<std::uint32_t>(free_.size());
             free_.resize(free_.size() +
                              static_cast<std::size_t>(l.bandwidth),
                          0.0);
@@ -262,9 +255,7 @@ class LinkPool
 
     const noise::LinkModel* link_;
     bool unlimited_;
-    int num_nodes_;
-    std::vector<Link> dense_;
-    std::map<std::pair<NodeId, NodeId>, Link> sparse_;
+    std::vector<Link> links_; ///< pair (lo, hi) at hi * (hi - 1) / 2 + lo
     std::vector<double> free_;
     std::vector<double> scratch_;
 };
@@ -305,6 +296,9 @@ class EprPlanCache
                           bool note_decisions = false)
         : note_(note_decisions), m_(&m)
     {
+        // Dense O(1) indexing for machines of practical size; huge node
+        // counts fall back to the sparse map so memory stays proportional
+        // to the pairs actually used.
         if (m.num_nodes <= kDenseNodeLimit) {
             const auto n = static_cast<std::size_t>(m.num_nodes);
             dense_.resize(n * n);
@@ -363,6 +357,8 @@ class EprPlanCache
     }
 
   private:
+    static constexpr int kDenseNodeLimit = 256;
+
     /** Purification-depth decision for a freshly built plan: how many
      * rounds the policy chose for this pair/route, and the fidelity it
      * delivers against the machine's target. */

@@ -533,10 +533,11 @@ TEST(Slots, ReserveMultiHopRingRouteMatchesReference)
         expect_reservations_match(m, route, chan);
 }
 
-TEST(Slots, ReserveAboveDenseLimitUsesSparseTable)
+TEST(Slots, ReserveOnLargeRingMatchesReference)
 {
-    // Above kDenseNodeLimit the pool keys links in a sparse map.
-    const int n = kDenseNodeLimit + 44;
+    // High node ids and the wrap-around link (n - 1, 0) index the far
+    // end of the pool's link table.
+    const int n = 300;
     hw::Machine m = hw::Machine::homogeneous(n, 2, hw::Topology::Ring);
     m.comm_qubits_per_node = 4;
     m.link.bandwidth = 2;
