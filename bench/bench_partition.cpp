@@ -19,7 +19,7 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -146,22 +146,15 @@ main(int argc, char** argv)
         }
     }
 
-    // The machine axis: explicit shapes, or homogeneous ceil-divided
-    // nodes (the sweep driver's recipe).
-    struct MachineSpec
-    {
-        int num_nodes;
-        std::string shape; // empty = homogeneous
-    };
-    std::vector<MachineSpec> machines;
-    if (shapes.empty()) {
-        for (int n : nodes)
-            machines.push_back({n, {}});
-    } else {
-        for (const std::string& s : shapes)
-            machines.push_back(
-                {static_cast<int>(hw::parse_shape(s).size()), s});
-    }
+    // One cell per (family, qubits, machine, topology), in that order;
+    // each machine is the sweep driver's (driver::machine_for).
+    driver::SweepGrid grid;
+    grid.families = families;
+    grid.qubit_counts = qubits;
+    grid.node_counts = nodes;
+    grid.shapes = shapes;
+    grid.topologies = topologies;
+    grid.seed = seed;
 
     bench::apply_obs_cli(obs_cli);
 
@@ -173,142 +166,116 @@ main(int argc, char** argv)
                             "hops_cut", "weighted_cut", "speedup"});
 
     int failures = 0;
-    for (const circuits::FamilySpec& f : families) {
-        // A QASM file pins its own qubit count; the --qubits axis only
-        // applies to generator families.
-        const std::vector<int> fam_qubits =
-            f.family == circuits::Family::QASM
-                ? std::vector<int>{f.qasm_qubits}
-                : qubits;
-        for (int q : fam_qubits) {
-            // The interaction graph is machine-independent: build it
-            // once per (family, qubits).
-            std::unique_ptr<partition::InteractionGraph> graph;
-            for (const MachineSpec& ms : machines) {
-                for (hw::Topology topo : topologies) {
-                    const circuits::BenchmarkSpec spec =
-                        circuits::spec_for(f, q, ms.num_nodes);
-                    hw::Machine machine;
-                    try {
-                        machine =
-                            ms.shape.empty()
-                                ? hw::Machine::homogeneous(
-                                      ms.num_nodes,
-                                      (q + ms.num_nodes - 1) /
-                                          ms.num_nodes,
-                                      topo)
-                                : hw::Machine::from_capacities(
-                                      hw::parse_shape(ms.shape), topo);
-                        if (graph == nullptr)
-                            graph = std::make_unique<
-                                partition::InteractionGraph>(
-                                partition::InteractionGraph::from_circuit(
-                                    qir::decompose(
-                                        circuits::make_benchmark(spec,
-                                                                 seed))));
-                    } catch (const support::UserError& e) {
-                        std::fprintf(stderr, "error: %s: %s\n",
-                                     spec.label().c_str(), e.what());
-                        ++failures;
-                        continue;
-                    }
+    // The interaction graph is machine-independent: build it once per
+    // (family, qubits).
+    std::unique_ptr<partition::InteractionGraph> graph;
+    circuits::BenchmarkSpec graph_spec;
+    for (const driver::SweepCell& cell : grid.cells()) {
+        const circuits::BenchmarkSpec& spec = cell.spec;
+        if (spec.family != graph_spec.family ||
+            spec.num_qubits != graph_spec.num_qubits ||
+            spec.qasm_path != graph_spec.qasm_path) {
+            graph.reset();
+            graph_spec = spec;
+        }
+        hw::Machine machine;
+        try {
+            machine = driver::machine_for(cell);
+            if (graph == nullptr)
+                graph = std::make_unique<partition::InteractionGraph>(
+                    partition::InteractionGraph::from_circuit(qir::decompose(
+                        circuits::make_benchmark(spec, cell.seed))));
+        } catch (const support::UserError& e) {
+            std::fprintf(stderr, "error: %s: %s\n", spec.label().c_str(),
+                         e.what());
+            ++failures;
+            continue;
+        }
 
-                    const multilevel::CostModel flat =
-                        multilevel::CostModel::flat(machine.num_nodes);
-                    const multilevel::CostModel hops =
-                        multilevel::CostModel::hops(machine);
-                    const multilevel::CostModel full =
-                        multilevel::CostModel::from_machine(machine);
+        const multilevel::CostModel hops =
+            multilevel::CostModel::hops(machine);
+        const multilevel::CostModel full =
+            multilevel::CostModel::from_machine(machine);
 
-                    std::string scenario = spec.label();
-                    if (!ms.shape.empty())
-                        scenario += "@" + ms.shape;
-                    scenario +=
-                        std::string("+") + hw::topology_name(topo);
+        std::string scenario = spec.label();
+        if (!cell.shape.empty())
+            scenario += "@" + cell.shape;
+        scenario += std::string("+") + hw::topology_name(cell.topology);
 
-                    // Time every partitioner before emitting rows: the
-                    // speedup column is relative to OEE regardless of
-                    // where it appears in the --partitioner list.
-                    struct Timed
-                    {
-                        partition::Mapper mapper;
-                        std::vector<NodeId> part;
-                        double best_ms = 0.0;
-                    };
-                    std::vector<Timed> timed;
-                    double oee_ms = 0.0;
-                    for (partition::Mapper m : mappers) {
-                        partition::MapperOptions mopts;
-                        mopts.multilevel.pool = &pool;
-                        Timed run{m, {}, 0.0};
-                        try {
-                            for (int r = 0; r < reps; ++r) {
-                                const auto t0 = clock_type::now();
-                                obs::Span span(
-                                    "partition",
-                                    scenario + "/" +
-                                        partition::mapper_name(m));
-                                run.part = partition::partition_with(
-                                    m, *graph, machine, mopts);
-                                const double ms_r = ms_since(t0);
-                                if (r == 0 || ms_r < run.best_ms)
-                                    run.best_ms = ms_r;
-                            }
-                            hw::QubitMapping(run.part).validate(machine);
-                        } catch (const support::UserError& e) {
-                            std::fprintf(stderr, "error: %s/%s: %s\n",
-                                         scenario.c_str(),
-                                         partition::mapper_name(m),
-                                         e.what());
-                            ++failures;
-                            continue;
-                        }
-                        if (m == partition::Mapper::Oee)
-                            oee_ms = run.best_ms;
-                        timed.push_back(std::move(run));
-                    }
-                    for (const Timed& run : timed) {
-                        const partition::Mapper m = run.mapper;
-                        const double best_ms = run.best_ms;
-                        const std::vector<NodeId>& part = run.part;
-                        const double speedup =
-                            m == partition::Mapper::Oee
-                                ? (oee_ms > 0.0 ? 1.0 : 0.0)
-                                : (oee_ms > 0.0 && best_ms > 0.0
-                                       ? oee_ms / best_ms
-                                       : 0.0);
-
-                        const long flat_cut = graph->cut_weight(part);
-                        const double hops_cut =
-                            multilevel::weighted_cut(*graph, part, hops);
-                        const double full_cut =
-                            multilevel::weighted_cut(*graph, part, full);
-                        (void)flat; // flat_cut via cut_weight is exact
-
-                        t.start_row();
-                        t.add(scenario);
-                        t.add(partition::mapper_name(m));
-                        t.add(best_ms, 2);
-                        t.add(static_cast<long long>(flat_cut));
-                        t.add(hops_cut, 0);
-                        t.add(full_cut, 0);
-                        t.add(speedup, 1);
-
-                        csv.start_row();
-                        csv.add(spec.label());
-                        csv.add(static_cast<long long>(q));
-                        csv.add(static_cast<long long>(ms.num_nodes));
-                        csv.add(std::string(hw::topology_name(topo)));
-                        csv.add(ms.shape);
-                        csv.add(std::string(partition::mapper_name(m)));
-                        csv.add(best_ms);
-                        csv.add(static_cast<long long>(flat_cut));
-                        csv.add(hops_cut);
-                        csv.add(full_cut);
-                        csv.add(speedup);
-                    }
+        // Time every partitioner before emitting rows: the speedup column
+        // is relative to OEE regardless of where it appears in the
+        // --partitioner list.
+        struct Timed
+        {
+            partition::Mapper mapper;
+            std::vector<NodeId> part;
+            double best_ms = 0.0;
+        };
+        std::vector<Timed> timed;
+        double oee_ms = 0.0;
+        for (partition::Mapper m : mappers) {
+            partition::MapperOptions mopts;
+            mopts.multilevel.pool = &pool;
+            Timed run{m, {}, 0.0};
+            try {
+                for (int r = 0; r < reps; ++r) {
+                    const auto t0 = clock_type::now();
+                    obs::Span span("partition",
+                                   scenario + "/" + partition::mapper_name(m));
+                    run.part =
+                        partition::partition_with(m, *graph, machine, mopts);
+                    const double ms_r = ms_since(t0);
+                    if (r == 0 || ms_r < run.best_ms)
+                        run.best_ms = ms_r;
                 }
+                hw::QubitMapping(run.part).validate(machine);
+            } catch (const support::UserError& e) {
+                std::fprintf(stderr, "error: %s/%s: %s\n", scenario.c_str(),
+                             partition::mapper_name(m), e.what());
+                ++failures;
+                continue;
             }
+            if (m == partition::Mapper::Oee)
+                oee_ms = run.best_ms;
+            timed.push_back(std::move(run));
+        }
+        for (const Timed& run : timed) {
+            const partition::Mapper m = run.mapper;
+            const double best_ms = run.best_ms;
+            const std::vector<NodeId>& part = run.part;
+            const double speedup =
+                m == partition::Mapper::Oee
+                    ? (oee_ms > 0.0 ? 1.0 : 0.0)
+                    : (oee_ms > 0.0 && best_ms > 0.0 ? oee_ms / best_ms
+                                                     : 0.0);
+
+            const long flat_cut = graph->cut_weight(part);
+            const double hops_cut =
+                multilevel::weighted_cut(*graph, part, hops);
+            const double full_cut =
+                multilevel::weighted_cut(*graph, part, full);
+
+            t.start_row();
+            t.add(scenario);
+            t.add(partition::mapper_name(m));
+            t.add(best_ms, 2);
+            t.add(static_cast<long long>(flat_cut));
+            t.add(hops_cut, 0);
+            t.add(full_cut, 0);
+            t.add(speedup, 1);
+
+            csv.start_row();
+            csv.add(spec.label());
+            csv.add(static_cast<long long>(spec.num_qubits));
+            csv.add(static_cast<long long>(spec.num_nodes));
+            csv.add(std::string(hw::topology_name(cell.topology)));
+            csv.add(cell.shape);
+            csv.add(std::string(partition::mapper_name(m)));
+            csv.add(best_ms);
+            csv.add(static_cast<long long>(flat_cut));
+            csv.add(hops_cut);
+            csv.add(full_cut);
+            csv.add(speedup);
         }
     }
     t.print();

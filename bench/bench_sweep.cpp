@@ -9,6 +9,14 @@
  *   bench_sweep --opts default,sparse --baseline --csv sweep.csv
  *   bench_sweep --verify                       # assert 1-thread == N-thread
  *
+ * The noise axes sweep the fidelity/latency trade-off: a purification
+ * target buys program fidelity with 2^rounds raw pairs per consumed pair
+ * ("Raw EPR" / "EPR" is that cost), and 0 consumes raw pairs:
+ *
+ *   bench_sweep --families QFT --qubits 32 --nodes 4 \
+ *       --topology all_to_all,ring,grid,star --link-fidelity 0.96 \
+ *       --target-fidelity 0,0.9,0.95,0.99,0.995
+ *
  * With --cache-dir, rows come from / go to the persistent content-hashed
  * result store, and a grid can be split deterministically across
  * machines and reassembled:
@@ -403,11 +411,11 @@ main(int argc, char** argv)
 
     support::Table t(grid.with_baseline
         ? std::vector<std::string>{"Cell", "#gate", "#REM CX", "Tot Comm",
-            "TP-Comm", "Peak #REM CX", "Makespan", "Hops", "Raw EPR",
-            "Fidelity", "Improv.", "LAT-DEC", "Time (s)"}
+            "TP-Comm", "Peak #REM CX", "Makespan", "EPR", "Hops", "Raw EPR",
+            "Rounds", "Fidelity", "Improv.", "LAT-DEC", "Time (s)"}
         : std::vector<std::string>{"Cell", "#gate", "#REM CX", "Tot Comm",
-            "TP-Comm", "Peak #REM CX", "Makespan", "Hops", "Raw EPR",
-            "Fidelity", "Time (s)"});
+            "TP-Comm", "Peak #REM CX", "Makespan", "EPR", "Hops", "Raw EPR",
+            "Rounds", "Fidelity", "Time (s)"});
     double total_seconds = 0;
     std::size_t failures = 0;
     for (const driver::SweepRow& r : rows) {
@@ -425,9 +433,11 @@ main(int argc, char** argv)
         t.add(r.metrics.tp_comms);
         t.add(r.metrics.peak_rem_cx, 1);
         t.add(r.schedule.makespan, 1);
+        t.add(r.schedule.epr_pairs);
         t.add(r.schedule.hops_total);
         t.add(r.schedule.epr_raw_pairs);
-        t.add(r.schedule.program_fidelity(), 4);
+        t.add(r.schedule.purify_rounds);
+        t.add(r.schedule.program_fidelity(), 6);
         if (r.factors) {
             t.add(r.factors->improv_factor, 2);
             t.add(r.factors->lat_dec_factor, 2);

@@ -106,7 +106,7 @@ struct Scheduler
     // order a full vessel sweep would, without the O(num_qubits) walk.
     std::vector<QubitId> away_hubs;
 
-    // Purified-pair counts per normalized node pair (min * n + max) for
+    // Purified-pair counts per node pair (at pair_index) for
     // preparations that used the routing table's plan; folded into the
     // ledger maps at the end. Detour preparations hit the ledger
     // directly — they are rare and carry per-route state.
@@ -122,9 +122,7 @@ struct Scheduler
           qready(static_cast<std::size_t>(reordered_.num_qubits()), 0.0),
           vessel(static_cast<std::size_t>(reordered_.num_qubits())),
           pinned(static_cast<std::size_t>(reordered_.num_qubits()), 0),
-          pair_batch(static_cast<std::size_t>(m_.num_nodes) *
-                         static_cast<std::size_t>(m_.num_nodes),
-                     0)
+          pair_batch(pair_count(m_.num_nodes), 0)
     {
     }
 
@@ -413,11 +411,7 @@ struct Scheduler
         } else {
             // Routing-table preparation: defer the map updates to one
             // batched fold per pair at the end (flush_pair_batch).
-            const NodeId lo = a < b ? a : b;
-            const NodeId hi = a < b ? b : a;
-            ++pair_batch[static_cast<std::size_t>(lo) *
-                             static_cast<std::size_t>(m.num_nodes) +
-                         static_cast<std::size_t>(hi)];
+            ++pair_batch[pair_index(a, b)];
         }
         res.ledger.record_fidelity(pl->fidelity);
         return {rsv.done, sa, sb};
@@ -432,20 +426,21 @@ struct Scheduler
     void
     flush_pair_batch()
     {
-        const auto n = static_cast<std::size_t>(m.num_nodes);
-        for (std::size_t idx = 0; idx < pair_batch.size(); ++idx) {
-            const std::size_t count = pair_batch[idx];
-            if (count == 0)
-                continue;
-            const NodeId a = static_cast<NodeId>(idx / n);
-            const NodeId b = static_cast<NodeId>(idx % n);
-            const EprPairPlan& pl = plans.plan(a, b);
-            res.ledger.consume(a, b, count);
-            res.ledger.consume_route(pl.route, count);
-            for (std::size_t i = 0; i + 1 < pl.route.size(); ++i)
-                res.ledger.consume_raw(pl.route[i], pl.route[i + 1],
-                                       pl.raw * count);
-        }
+        // The table runs by hi, then lo (pair_index); the ledger's maps
+        // make the fold order-independent.
+        std::size_t idx = 0;
+        for (NodeId b = 1; b < m.num_nodes; ++b)
+            for (NodeId a = 0; a < b; ++a) {
+                const std::size_t count = pair_batch[idx++];
+                if (count == 0)
+                    continue;
+                const EprPairPlan& pl = plans.plan(a, b);
+                res.ledger.consume(a, b, count);
+                res.ledger.consume_route(pl.route, count);
+                for (std::size_t i = 0; i + 1 < pl.route.size(); ++i)
+                    res.ledger.consume_raw(pl.route[i], pl.route[i + 1],
+                                           pl.raw * count);
+            }
     }
 
     void

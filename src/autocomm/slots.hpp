@@ -13,10 +13,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <span>
 #include <utility>
 #include <vector>
@@ -26,6 +26,26 @@
 #include "qir/types.hpp"
 
 namespace autocomm::pass {
+
+/** Entries in a dense table over the unordered node pairs of a
+ * @p num_nodes-node machine (the lo < hi triangle). */
+inline std::size_t
+pair_count(int num_nodes)
+{
+    const auto n = static_cast<std::size_t>(num_nodes);
+    return n * (n - 1) / 2;
+}
+
+/** Index of the unordered pair {a, b}, a != b, in that table:
+ * hi * (hi - 1) / 2 + lo. Pairs run by hi, then lo. */
+inline std::size_t
+pair_index(NodeId a, NodeId b)
+{
+    assert(a != b && "a node pair needs two distinct nodes");
+    const auto lo = static_cast<std::size_t>(std::min(a, b));
+    const auto hi = static_cast<std::size_t>(std::max(a, b));
+    return hi * (hi - 1) / 2 + lo;
+}
 
 /**
  * The k-th smallest of the free times @p v (non-empty; k clamped to
@@ -171,10 +191,8 @@ class LinkPool
     LinkPool(const noise::LinkModel& link, int num_nodes)
         : link_(&link), unlimited_(link.unlimited_bandwidth())
     {
-        if (!unlimited_) {
-            const auto n = static_cast<std::size_t>(num_nodes);
-            links_.resize(n * (n - 1) / 2);
-        }
+        if (!unlimited_)
+            links_.resize(pair_count(num_nodes));
     }
 
     /** True when no link constrains preparations at all. */
@@ -239,9 +257,7 @@ class LinkPool
     {
         if (unlimited_)
             return {};
-        const auto lo = static_cast<std::size_t>(std::min(a, b));
-        const auto hi = static_cast<std::size_t>(std::max(a, b));
-        Link& l = links_[hi * (hi - 1) / 2 + lo];
+        Link& l = links_[pair_index(a, b)];
         if (l.bandwidth < 0) {
             l.bandwidth = std::max(link_->link_bandwidth(a, b), 0);
             l.offset = static_cast<std::uint32_t>(free_.size());
@@ -255,7 +271,7 @@ class LinkPool
 
     const noise::LinkModel* link_;
     bool unlimited_;
-    std::vector<Link> links_; ///< pair (lo, hi) at hi * (hi - 1) / 2 + lo
+    std::vector<Link> links_; ///< indexed by pair_index
     std::vector<double> free_;
     std::vector<double> scratch_;
 };
@@ -281,7 +297,11 @@ struct EprPairPlan
  * Per-machine memoization of EprPairPlan, keyed on the normalized node
  * pair — both directions share one route and its resources. Shared by
  * the AutoComm scheduler and the GP-TP baseline so the two simulators
- * can never diverge in how they cost a pair.
+ * can never diverge in how they cost a pair. A 4-byte slot per node pair
+ * (see pair_index) points into the plans built so far. Their vector is
+ * reserved for every pair up front, so it never reallocates: a returned
+ * reference stays valid while later pairs are built (the scheduler holds
+ * one across an eviction that prepares other pairs).
  */
 class EprPlanCache
 {
@@ -294,43 +314,21 @@ class EprPlanCache
      * keeps the default and stays silent (no double counting). */
     explicit EprPlanCache(const hw::Machine& m,
                           bool note_decisions = false)
-        : note_(note_decisions), m_(&m)
+        : note_(note_decisions), m_(&m), slot_(pair_count(m.num_nodes), 0)
     {
-        // Dense O(1) indexing for machines of practical size; huge node
-        // counts fall back to the sparse map so memory stays proportional
-        // to the pairs actually used.
-        if (m.num_nodes <= kDenseNodeLimit) {
-            const auto n = static_cast<std::size_t>(m.num_nodes);
-            dense_.resize(n * n);
-            dense_ready_.assign(n * n, 0);
-        }
+        plans_.reserve(slot_.size());
     }
 
     const EprPairPlan&
     plan(NodeId a, NodeId b)
     {
-        const auto key =
-            a < b ? std::make_pair(a, b) : std::make_pair(b, a);
-        if (!dense_.empty()) {
-            const std::size_t idx =
-                static_cast<std::size_t>(key.first) *
-                    static_cast<std::size_t>(m_->num_nodes) +
-                static_cast<std::size_t>(key.second);
-            if (!dense_ready_[idx]) {
-                dense_[idx] = build(key.first, key.second);
-                dense_ready_[idx] = 1;
-                note_purify(dense_[idx]);
-            }
-            return dense_[idx];
+        std::uint32_t& slot = slot_[pair_index(a, b)];
+        if (slot == 0) {
+            plans_.push_back(build(std::min(a, b), std::max(a, b)));
+            slot = static_cast<std::uint32_t>(plans_.size());
+            note_purify(plans_.back());
         }
-        const auto it = plans_.find(key);
-        if (it != plans_.end())
-            return it->second;
-        const EprPairPlan& built =
-            plans_.emplace(key, build(key.first, key.second))
-                .first->second;
-        note_purify(built);
-        return built;
+        return plans_[slot - 1];
     }
 
     /**
@@ -357,8 +355,6 @@ class EprPlanCache
     }
 
   private:
-    static constexpr int kDenseNodeLimit = 256;
-
     /** Purification-depth decision for a freshly built plan: how many
      * rounds the policy chose for this pair/route, and the fidelity it
      * delivers against the machine's target. */
@@ -396,9 +392,9 @@ class EprPlanCache
     }
 
     const hw::Machine* m_;
-    std::vector<EprPairPlan> dense_;
-    std::vector<char> dense_ready_;
-    std::map<std::pair<NodeId, NodeId>, EprPairPlan> plans_;
+    /** Per pair: 1 + the plan's index in plans_, or 0 until built. */
+    std::vector<std::uint32_t> slot_;
+    std::vector<EprPairPlan> plans_;
 };
 
 /** Outcome of reserving the resources of one EPR preparation. */

@@ -179,49 +179,36 @@ cells_from_specs(const std::vector<circuits::BenchmarkSpec>& specs,
     return out;
 }
 
-namespace {
-
-/** A failure that may not reproduce (anything but a deterministic
- * UserError) — such error rows must never enter the result cache. */
-bool
-is_transient(const std::exception& e)
+std::vector<int>
+machine_capacities(const SweepCell& cell)
 {
-    return dynamic_cast<const support::UserError*>(&e) == nullptr;
-}
-
-/** Throw the same UserErrors run_cell would for a malformed cell
- * geometry (non-positive counts, shape/node-count mismatch). */
-void
-validate_cell_geometry(const circuits::BenchmarkSpec& spec,
-                       const std::string& shape)
-{
+    const circuits::BenchmarkSpec& spec = cell.spec;
     if (spec.num_qubits <= 0 || spec.num_nodes <= 0)
         support::fatal("sweep cell %s: qubit and node counts must be "
                        "positive", spec.label().c_str());
-    if (!shape.empty()) {
-        const std::vector<int> caps = hw::parse_shape(shape);
-        if (static_cast<int>(caps.size()) != spec.num_nodes)
-            support::fatal("sweep cell %s: shape \"%s\" has %zu nodes, "
-                           "spec says %d", spec.label().c_str(),
-                           shape.c_str(), caps.size(), spec.num_nodes);
-    }
+    if (cell.shape.empty())
+        return std::vector<int>(static_cast<std::size_t>(spec.num_nodes),
+                                (spec.num_qubits + spec.num_nodes - 1) /
+                                    spec.num_nodes);
+    std::vector<int> caps = hw::parse_shape(cell.shape);
+    if (static_cast<int>(caps.size()) != spec.num_nodes)
+        support::fatal("sweep cell %s: shape \"%s\" has %zu nodes, "
+                       "spec says %d", spec.label().c_str(),
+                       cell.shape.c_str(), caps.size(), spec.num_nodes);
+    return caps;
 }
 
-/** Derive the machine for a cell: shape, topology, and link noise. */
 hw::Machine
 machine_for(const SweepCell& cell)
 {
-    hw::Machine m;
-    if (cell.shape.empty()) {
-        m = hw::Machine::homogeneous(
-            cell.spec.num_nodes,
-            (cell.spec.num_qubits + cell.spec.num_nodes - 1) /
-                cell.spec.num_nodes,
-            cell.topology);
-    } else {
-        m = hw::Machine::from_capacities(hw::parse_shape(cell.shape),
-                                         cell.topology);
-    }
+    // A shapeless cell stays Machine::homogeneous (no node_capacities),
+    // so its machine and error texts are what they always were.
+    std::vector<int> caps = machine_capacities(cell);
+    hw::Machine m =
+        cell.shape.empty()
+            ? hw::Machine::homogeneous(cell.spec.num_nodes, caps.front(),
+                                       cell.topology)
+            : hw::Machine::from_capacities(std::move(caps), cell.topology);
     m.link.fidelity = cell.link_fidelity;
     m.link.bandwidth = cell.link_bandwidth;
     m.purify.target_fidelity = cell.target_fidelity;
@@ -263,26 +250,34 @@ machine_for(const SweepCell& cell)
     return m;
 }
 
-/**
- * Exact serialization of the machine fields a cell sets beyond its
- * program and shape: topology, link noise, and both override lists.
- * Values print as %.17g — override_spec's display form %g is not
- * injective, so two different machines could share a key.
- */
 std::string
-exact_machine_key(const SweepCell& cell)
+machine_key(const SweepCell& cell)
 {
     auto overrides = [](const std::vector<LinkValue>& list) {
         std::string out;
         for (const LinkValue& o : list)
-            out += support::strprintf("%d-%d:%.17g,", o.a, o.b, o.value);
+            out += support::strprintf("%s%d-%d:%.17g",
+                                      out.empty() ? "" : ",", o.a, o.b,
+                                      o.value);
         return out;
     };
     return support::strprintf(
-        "%s|%.17g|%.17g|%d|%s|%s", hw::topology_name(cell.topology),
+        "shape=%s;topology=%s;link_fidelity=%.17g;target_fidelity=%.17g;"
+        "link_bandwidth=%d;fidelity_overrides=%s;bandwidth_overrides=%s",
+        cell.shape.c_str(), hw::topology_name(cell.topology),
         cell.link_fidelity, cell.target_fidelity, cell.link_bandwidth,
         overrides(cell.link_fidelity_overrides).c_str(),
         overrides(cell.link_bandwidth_overrides).c_str());
+}
+
+namespace {
+
+/** A failure that may not reproduce (anything but a deterministic
+ * UserError) — such error rows must never enter the result cache. */
+bool
+is_transient(const std::exception& e)
+{
+    return dynamic_cast<const support::UserError*>(&e) == nullptr;
 }
 
 /** The two numbers relative_factors reads from a Ferrari compile, or the
@@ -402,7 +397,7 @@ run_cell_prepared(const SweepCell& cell, const qir::Circuit& circuit,
 SweepRow
 run_cell(const SweepCell& cell)
 {
-    validate_cell_geometry(cell.spec, cell.shape);
+    machine_capacities(cell); // geometry errors come before any work
 
     qir::Circuit circuit;
     {
@@ -535,8 +530,9 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         const SweepCell& cell = cells[i];
         if (cached[i])
             continue;
+        std::vector<int> capacities;
         try {
-            validate_cell_geometry(cell.spec, cell.shape);
+            capacities = machine_capacities(cell);
         } catch (const std::exception& e) {
             if (opts.rethrow_errors)
                 throw;
@@ -568,23 +564,17 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         // the topology and noise axes. The multilevel partitioners read
         // the machine's routing table and link fidelities, so their
         // groups must split on everything the derived machine depends on.
-        std::string mkey = support::strprintf(
-            "%s|%s|%s", pkey.c_str(), cell.shape.c_str(),
-            partition::mapper_name(cell.partitioner));
-        if (cell.partitioner != partition::Mapper::Oee)
-            mkey += "|" + exact_machine_key(cell);
+        const std::string mkey =
+            support::strprintf("%s|%s|", pkey.c_str(),
+                               partition::mapper_name(cell.partitioner)) +
+            (cell.partitioner == partition::Mapper::Oee ? cell.shape
+                                                        : machine_key(cell));
         auto [mit, mnew] = mapping_index.emplace(mkey, mappings.size());
         if (mnew) {
             Mapping mp;
             mp.program = pit->second;
             mp.cell = &cell;
-            mp.capacities =
-                cell.shape.empty()
-                    ? std::vector<int>(
-                          static_cast<std::size_t>(cell.spec.num_nodes),
-                          (cell.spec.num_qubits + cell.spec.num_nodes - 1) /
-                              cell.spec.num_nodes)
-                    : hw::parse_shape(cell.shape);
+            mp.capacities = std::move(capacities);
             mappings.push_back(std::move(mp));
         }
         const std::size_t m = mit->second;
@@ -612,7 +602,7 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
                                 agg.comm_capacity));
         if (cell.with_baseline)
             join(baseline_index, baselines, cells_of_baseline,
-                 support::strprintf("%zu|", m) + exact_machine_key(cell));
+                 support::strprintf("%zu|", m) + machine_key(cell));
     }
 
     support::ThreadPool pool(opts.num_threads);

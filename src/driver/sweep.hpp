@@ -114,6 +114,30 @@ struct SweepCell
     std::string options_label() const;
 };
 
+/**
+ * The per-node data-qubit capacities of @p cell's machine: its shape's,
+ * or spec.num_nodes nodes of ceil(qubits / nodes). Throws
+ * support::UserError on a non-positive count or a shape whose node count
+ * is not spec.num_nodes.
+ */
+std::vector<int> machine_capacities(const SweepCell& cell);
+
+/**
+ * The machine of @p cell: its capacities, topology and link noise, with
+ * every per-link override checked to name a physical link. Non-empty
+ * fidelity overrides reroute by fidelity-aware Dijkstra.
+ */
+hw::Machine machine_for(const SweepCell& cell);
+
+/**
+ * Exact serialization of the machine half of @p cell, the fragment
+ * "shape=..;topology=..;link_fidelity=..;target_fidelity=..;
+ * link_bandwidth=..;fidelity_overrides=..;bandwidth_overrides=.." of
+ * cache::cell_key. Values print as %.17g: override_spec's %g display
+ * form is not injective. run_sweep groups machine-dependent work by it.
+ */
+std::string machine_key(const SweepCell& cell);
+
 /** Declarative cartesian sweep grid. */
 struct SweepGrid
 {
@@ -235,7 +259,7 @@ std::vector<SweepRow> run_sweep(const std::vector<SweepCell>& cells,
 /** Serialize rows as a CSV document (deterministic columns only). */
 support::CsvWriter sweep_csv(const std::vector<SweepRow>& rows);
 
-// ---- CLI axis-list parsing (shared by bench_sweep / bench_fidelity) ----
+// ---- CLI axis-list parsing (shared by bench_sweep / bench_partition) ----
 // Every parser throws support::UserError with the offending token echoed
 // and the flag named, so CLI errors read like
 //   --topology: unknown topology "torus" (expected all_to_all, ring,

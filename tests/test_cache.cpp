@@ -155,6 +155,51 @@ TEST(CacheKey, NearbyFidelityDoublesKeyDifferently)
     EXPECT_NE(cache::cell_key(a).hex(), cache::cell_key(b).hex());
 }
 
+// The canonical strings are the on-disk contract: a store written by an
+// older build must still hit, so any change to these literals strands
+// every existing entry. Only the salt field may move (kCompilerSalt).
+std::string
+salted(const std::string& rest)
+{
+    return std::string("autocomm-cell-v2;salt=") + cache::kCompilerSalt +
+           rest;
+}
+
+TEST(CacheKey, CanonicalStringsArePinned)
+{
+    SweepCell plain;
+    plain.spec = {circuits::Family::QFT, 16, 4};
+    EXPECT_EQ(cache::cell_key(plain).canonical,
+              salted(";family=QFT;qubits=16;nodes=4;"
+              "seed=2022;shape=;topology=all_to_all;link_fidelity=1;"
+              "target_fidelity=0;link_bandwidth=0;fidelity_overrides=;"
+              "bandwidth_overrides=;partitioner=oee;options=default{"
+              "use_commutation=1,absorb_local_gates=1,comm_capacity=2,"
+              "allow_tp=1,epr_prefetch=1,tp_fusion=1};baseline=0;gptp=0;"
+              "stats_only=0"));
+
+    SweepCell machine = plain;
+    machine.shape = "4x4";
+    machine.topology = hw::Topology::Grid;
+    machine.link_fidelity = 0.95;
+    machine.target_fidelity = 0.99;
+    machine.link_bandwidth = 2;
+    machine.link_fidelity_overrides = {{0, 1, 0.9}, {2, 3, 0.85}};
+    machine.link_bandwidth_overrides = {{0, 2, 1.0}};
+    machine.partitioner = partition::Mapper::Multilevel;
+    EXPECT_EQ(cache::cell_key(machine).canonical,
+              salted(";family=QFT;qubits=16;nodes=4;"
+              "seed=2022;shape=4x4;topology=grid;"
+              "link_fidelity=0.94999999999999996;"
+              "target_fidelity=0.98999999999999999;link_bandwidth=2;"
+              "fidelity_overrides=0-1:0.90000000000000002,"
+              "2-3:0.84999999999999998;bandwidth_overrides=0-2:1;"
+              "partitioner=multilevel;options=default{"
+              "use_commutation=1,absorb_local_gates=1,comm_capacity=2,"
+              "allow_tp=1,epr_prefetch=1,tp_fusion=1};baseline=0;gptp=0;"
+              "stats_only=0"));
+}
+
 // ----------------------------------------------------------------- json
 
 TEST(CacheJson, DumpParseIsAFixedPoint)
@@ -850,6 +895,24 @@ write_file(const fs::path& p, const std::string& text)
 {
     fs::create_directories(p.parent_path());
     std::ofstream(p, std::ios::trunc) << text;
+}
+
+TEST(CacheQasm, CanonicalStringIsPinned)
+{
+    TempDir dir("qasm-pin");
+    const fs::path file = dir.path / "bench.qasm";
+    write_file(file, kQasmA);
+    SweepCell cell;
+    cell.spec =
+        circuits::spec_for(circuits::qasm_family(file.string()), 0, 2);
+    EXPECT_EQ(cache::cell_key(cell).canonical,
+              salted(";family=QASM;qubits=6;nodes=2;"
+              "seed=2022;shape=;topology=all_to_all;link_fidelity=1;"
+              "target_fidelity=0;link_bandwidth=0;fidelity_overrides=;"
+              "bandwidth_overrides=;partitioner=oee;options=default{"
+              "use_commutation=1,absorb_local_gates=1,comm_capacity=2,"
+              "allow_tp=1,epr_prefetch=1,tp_fusion=1};baseline=0;gptp=0;"
+              "stats_only=0;qasm=1218ca87e4bc0dce339a3f681dc565bf"));
 }
 
 TEST(CacheQasm, SameFileHitsWarmAndAOneByteEditInvalidates)

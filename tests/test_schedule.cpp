@@ -548,4 +548,45 @@ TEST(Slots, ReserveOnLargeRingMatchesReference)
         expect_reservations_match(m, route, chan);
 }
 
+TEST(Slots, PlanCacheOnLargeRingMatchesDirectPlans)
+{
+    // 300 nodes: past any small-machine special case. The pairs cover
+    // both ends of the pair table and the wrap-around link (n - 1, 0).
+    const int n = 300;
+    hw::Machine m = hw::Machine::homogeneous(n, 2, hw::Topology::Ring);
+    m.link.fidelity = 0.999;
+    m.link.set_link_fidelity(n - 1, 0, 0.95);
+    m.purify.target_fidelity = 0.99;
+    m.build_routing();
+
+    EprPlanCache cache(m);
+    const EprPairPlan& first = cache.plan(1, 0);
+    const std::vector<std::pair<NodeId, NodeId>> pairs = {
+        {0, 1},         {1, 0},         {n - 1, 0},  {0, n - 1},
+        {n - 2, n - 1}, {n - 1, n - 3}, {0, n / 2},  {n - 2, 2},
+        {n / 2, 1},     {n - 1, n - 2}};
+    for (const auto& [a, b] : pairs) {
+        const EprPairPlan& got = cache.plan(a, b);
+        const NodeId lo = std::min(a, b);
+        const NodeId hi = std::max(a, b);
+        const int rounds = m.purification_rounds(lo, hi);
+        EXPECT_EQ(got.route, m.path(lo, hi)) << a << "-" << b;
+        EXPECT_EQ(got.hops, m.hops(lo, hi)) << a << "-" << b;
+        EXPECT_EQ(got.rounds, rounds) << a << "-" << b;
+        EXPECT_EQ(got.raw,
+                  noise::PurificationPolicy::cost_multiplier(rounds))
+            << a << "-" << b;
+        EXPECT_EQ(got.duration, m.epr_latency(lo, hi)) << a << "-" << b;
+        EXPECT_EQ(got.fidelity, m.purified_pair_fidelity(lo, hi))
+            << a << "-" << b;
+        // Both directions share one memoized plan.
+        EXPECT_EQ(&got, &cache.plan(b, a)) << a << "-" << b;
+    }
+    EXPECT_GT(cache.plan(0, n / 2).hops, 100);
+    EXPECT_GT(cache.plan(n - 1, 0).rounds, cache.plan(0, 1).rounds);
+    // A reference from the first request survives every later build.
+    EXPECT_EQ(&first, &cache.plan(0, 1));
+    EXPECT_EQ(first.route, m.path(0, 1));
+}
+
 } // namespace
