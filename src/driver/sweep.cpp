@@ -446,11 +446,6 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
             obs::CellScope scope(cells[i].label());
             if (std::optional<SweepRow> hit =
                     opts.store->lookup(keys[i], cells[i])) {
-                // A cached error row honors the same contract a fresh
-                // one would: rethrow_errors callers get the exception,
-                // not an in-row failure.
-                if (!hit->ok && opts.rethrow_errors)
-                    throw support::UserError(hit->error);
                 rows[i] = std::move(*hit);
                 cached[i] = 1;
             }
@@ -462,6 +457,12 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
     // failure — bad_alloc under memory pressure, say — must not be
     // served as a permanent error on every later run.
     std::vector<char> transient(cells.size(), 0);
+    auto record_error = [&](std::size_t i, const std::exception& e) {
+        rows[i].cell = cells[i];
+        rows[i].ok = false;
+        rows[i].error = e.what();
+        transient[i] = is_transient(e);
+    };
 
     // ---- Group cells by shared work ----
     // Cells differing only in topology, noise, or option set share the
@@ -479,13 +480,20 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
     // the mapping, and the machine, so cells sharing those share one
     // baseline compile. Memoizing every level turns an ablation grid's
     // shared work from O(cells) into O(distinct inputs).
+    //
+    // Every stage catches its own failure into `error`; a failed program
+    // or mapping passes it on unrun, and each cell rethrows it inside
+    // its own try, so the row's text and transient-ness come from the
+    // original exception, as they would from run_cell.
     struct Program
     {
+        /** Exemplar cell of the group: its spec and seed. */
+        const SweepCell* cell = nullptr;
         qir::Circuit circuit;
         qir::CircuitStats stats;
         std::optional<partition::InteractionGraph> graph;
-        std::string error;
-        bool transient_error = false;
+        std::exception_ptr error;
+        std::vector<std::size_t> mappings;
     };
     struct Mapping
     {
@@ -497,16 +505,18 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         const SweepCell* cell = nullptr;
         std::optional<hw::QubitMapping> map;
         std::size_t remote_cx = 0; ///< map->count_remote(circuit)
-        std::string error;
-        bool transient_error = false;
+        std::exception_ptr error;
+        std::vector<std::size_t> cells;
+        std::vector<std::size_t> aggregates;
+        std::vector<std::size_t> baselines;
     };
-    /** One aggregate() or Ferrari compile, shared by the cells listed in
-     * cells_of_aggregate / cells_of_baseline. */
+    /** One aggregate() or Ferrari compile, shared by its cells. */
     struct Group
     {
         std::size_t mapping = 0;
         /** Exemplar cell: its aggregate options, or its machine recipe. */
         const SweepCell* cell = nullptr;
+        std::vector<std::size_t> cells;
     };
 
     std::map<std::string, std::size_t> program_index;
@@ -517,12 +527,6 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
     std::vector<Mapping> mappings;
     std::vector<Group> aggregates;
     std::vector<Group> baselines;
-    std::vector<const SweepCell*> program_cell; // exemplar per program
-    // Cell -> mapping group; SIZE_MAX marks rows already failed
-    // geometry validation.
-    std::vector<std::size_t> cell_mapping(cells.size(), SIZE_MAX);
-    std::vector<std::vector<std::size_t>> cells_of_aggregate;
-    std::vector<std::vector<std::size_t>> cells_of_baseline;
     // Shared stages each cell still waits for before it can start.
     std::vector<std::atomic<int>> pending(cells.size());
 
@@ -534,12 +538,7 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         try {
             capacities = machine_capacities(cell);
         } catch (const std::exception& e) {
-            if (opts.rethrow_errors)
-                throw;
-            rows[i].cell = cell;
-            rows[i].ok = false;
-            rows[i].error = e.what();
-            transient[i] = is_transient(e);
+            record_error(i, e);
             continue;
         }
         // num_nodes is part of the program key even though no current
@@ -555,10 +554,8 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
             static_cast<unsigned long long>(cell.seed),
             cell.spec.qasm_path.c_str());
         auto [pit, pnew] = program_index.emplace(pkey, programs.size());
-        if (pnew) {
-            programs.emplace_back();
-            program_cell.push_back(&cell);
-        }
+        if (pnew)
+            programs.emplace_back().cell = &cell;
 
         // OEE reads only the capacities, so its groups deliberately span
         // the topology and noise axes. The multilevel partitioners read
@@ -570,38 +567,38 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
             (cell.partitioner == partition::Mapper::Oee ? cell.shape
                                                         : machine_key(cell));
         auto [mit, mnew] = mapping_index.emplace(mkey, mappings.size());
+        const std::size_t m = mit->second;
         if (mnew) {
-            Mapping mp;
+            Mapping& mp = mappings.emplace_back();
             mp.program = pit->second;
             mp.cell = &cell;
             mp.capacities = std::move(capacities);
-            mappings.push_back(std::move(mp));
+            programs[pit->second].mappings.push_back(m);
         }
-        const std::size_t m = mit->second;
-        cell_mapping[i] = m;
+        mappings[m].cells.push_back(i);
         if (cell.stats_only)
             continue; // counts only: no aggregation, no baseline
 
         auto join = [&](std::map<std::string, std::size_t>& index,
                         std::vector<Group>& groups,
-                        std::vector<std::vector<std::size_t>>& members,
+                        std::vector<std::size_t>& of_mapping,
                         const std::string& key) {
             auto [it, fresh] = index.emplace(key, groups.size());
             if (fresh) {
-                groups.push_back(Group{m, &cell});
-                members.emplace_back();
+                groups.push_back(Group{m, &cell, {}});
+                of_mapping.push_back(it->second);
             }
-            members[it->second].push_back(i);
+            groups[it->second].cells.push_back(i);
             ++pending[i];
         };
         const pass::AggregateOptions& agg = cell.options.opts.aggregate;
-        join(aggregate_index, aggregates, cells_of_aggregate,
+        join(aggregate_index, aggregates, mappings[m].aggregates,
              support::strprintf("%zu|%d|%d|%d", m,
                                 agg.use_commutation ? 1 : 0,
                                 agg.absorb_local_gates ? 1 : 0,
                                 agg.comm_capacity));
         if (cell.with_baseline)
-            join(baseline_index, baselines, cells_of_baseline,
+            join(baseline_index, baselines, mappings[m].baselines,
                  support::strprintf("%zu|", m) + machine_key(cell));
     }
 
@@ -612,42 +609,18 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
     // groups -> their cells, with no barrier between stages: a cell
     // starts compiling the moment the last shared stage it needs is
     // done, while unrelated programs are still decomposing and other
-    // groups are still partitioning. Warm cache-hit cells never enter
-    // the pipeline at all (cell_mapping stays SIZE_MAX). Rows are
-    // written by index, so the output order is the cell order no matter
-    // which worker finishes first — the result is byte-identical for
-    // every thread count.
-    std::vector<std::vector<std::size_t>> mappings_of_program(
-        programs.size());
-    for (std::size_t m = 0; m < mappings.size(); ++m)
-        mappings_of_program[mappings[m].program].push_back(m);
-    std::vector<std::vector<std::size_t>> cells_of_mapping(mappings.size());
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        if (cell_mapping[i] != SIZE_MAX)
-            cells_of_mapping[cell_mapping[i]].push_back(i);
-    std::vector<std::vector<std::size_t>> aggregates_of_mapping(
-        mappings.size());
-    for (std::size_t g = 0; g < aggregates.size(); ++g)
-        aggregates_of_mapping[aggregates[g].mapping].push_back(g);
-    std::vector<std::vector<std::size_t>> baselines_of_mapping(
-        mappings.size());
-    for (std::size_t g = 0; g < baselines.size(); ++g)
-        baselines_of_mapping[baselines[g].mapping].push_back(g);
-
+    // groups are still partitioning. Warm cache-hit cells and failed
+    // geometry checks never enter the pipeline at all. Rows are written
+    // by index, so the output order is the cell order no matter which
+    // worker finishes first — the result is byte-identical for every
+    // thread count.
     std::vector<SharedWork> shared(cells.size());
     std::vector<FerrariBaseline> ferrari(baselines.size());
 
-    // Completion tracking for dynamically submitted continuations, plus
-    // per-slot exception capture so rethrow_errors callers get the same
-    // deterministic exception the barrier phases would have thrown: the
-    // lowest-index failure of the earliest failing stage. (Aggregation
-    // and baseline failures surface through their cells, as in run_cell.)
+    // Completion tracking for dynamically submitted continuations.
     std::mutex pipe_mu;
     std::condition_variable pipe_done;
     std::size_t outstanding = 0;
-    std::vector<std::exception_ptr> pexc(programs.size());
-    std::vector<std::exception_ptr> mexc(mappings.size());
-    std::vector<std::exception_ptr> cexc(cells.size());
     std::exception_ptr stray; // escaped a stage's own handler: a bug
 
     auto launch = [&](auto&& body) {
@@ -669,9 +642,10 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         });
     };
 
-    // Stage 4: compile one cell against its memoized shared work.
-    auto cell_stage = [&](std::size_t i) {
-        const Mapping& mp = mappings[cell_mapping[i]];
+    // Stage 4: compile cell i of mapping group m against its memoized
+    // shared work, or rethrow what its program or mapping threw.
+    auto cell_stage = [&](std::size_t i, std::size_t m) {
+        const Mapping& mp = mappings[m];
         // Everything this cell records — pass spans, EPR counters,
         // cache traffic — attributes to its label in the stats JSON's
         // `cells` section. The memoized stages before it stay unscoped
@@ -680,10 +654,8 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         obs::count("pipeline.cells_started");
         obs::Span span("cell", cells[i].label());
         try {
-            if (!mp.map) {
-                transient[i] = mp.transient_error;
-                throw support::UserError(mp.error);
-            }
+            if (mp.error)
+                std::rethrow_exception(mp.error);
             const Program& prog = programs[mp.program];
             rows[i] = run_cell_prepared(cells[i], prog.circuit, prog.stats,
                                         *mp.map, mp.remote_cx, shared[i]);
@@ -691,22 +663,14 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         } catch (const std::exception& e) {
             // A cell that threw before copying its blocks still lets go.
             shared[i].blocks.reset();
-            if (opts.rethrow_errors) {
-                cexc[i] = std::current_exception();
-                return;
-            }
-            rows[i].cell = cells[i];
-            rows[i].ok = false;
-            rows[i].error = e.what();
-            if (is_transient(e))
-                transient[i] = 1;
+            record_error(i, e);
         }
     };
 
     // A shared stage finished for cell i; the last one starts the cell.
-    auto release = [&](std::size_t i) {
+    auto release = [&](std::size_t i, std::size_t m) {
         if (pending[i].fetch_sub(1, std::memory_order_acq_rel) == 1)
-            launch([&, i]() { cell_stage(i); });
+            launch([&, i, m]() { cell_stage(i, m); });
     };
 
     // Stage 3a: aggregate once for every cell of the group. Never
@@ -725,10 +689,10 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         } catch (...) {
             error = std::current_exception();
         }
-        for (std::size_t i : cells_of_aggregate[g]) {
+        for (std::size_t i : grp.cells) {
             shared[i].blocks = blocks;
             shared[i].aggregate_error = error;
-            release(i);
+            release(i, grp.mapping);
         }
     };
 
@@ -743,22 +707,21 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         } catch (...) {
             ferrari[g].error = std::current_exception();
         }
-        for (std::size_t i : cells_of_baseline[g]) {
+        for (std::size_t i : grp.cells) {
             shared[i].ferrari = &ferrari[g];
-            release(i);
+            release(i, grp.mapping);
         }
     };
 
-    // Stage 2: partition one mapping group. OEE sees only the
-    // capacities; the multilevel partitioners derive the group's machine
-    // (routing table + link model) from its exemplar cell.
+    // Stage 2: partition one mapping group, or take on its program's
+    // error. OEE sees only the capacities; the multilevel partitioners
+    // derive the group's machine (routing table + link model) from its
+    // exemplar cell.
     auto mapping_stage = [&](std::size_t m) {
         Mapping& mp = mappings[m];
         const Program& prog = programs[mp.program];
-        if (!prog.error.empty()) {
-            mp.error = prog.error;
-            mp.transient_error = prog.transient_error;
-        } else {
+        mp.error = prog.error;
+        if (!mp.error) {
             try {
                 obs::Span span("partition", mp.cell->label());
                 if (mp.cell->partitioner == partition::Mapper::Oee) {
@@ -770,56 +733,43 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
                                                  machine_for(*mp.cell));
                 }
                 mp.remote_cx = mp.map->count_remote(prog.circuit);
-            } catch (const std::exception& e) {
-                if (opts.rethrow_errors) {
-                    mexc[m] = std::current_exception();
-                    return;
-                }
-                mp.error = e.what();
-                mp.transient_error = is_transient(e);
+            } catch (...) {
+                mp.error = std::current_exception();
             }
         }
-        // Without a mapping, cells report the recorded error per row and
-        // nothing shared is left to compute for them.
-        for (std::size_t i : cells_of_mapping[m])
-            if (!mp.map || pending[i].load(std::memory_order_relaxed) == 0)
-                launch([&, i]() { cell_stage(i); });
-        if (!mp.map)
+        // A failed mapping has nothing left to share: its cells start
+        // at once and rethrow its error.
+        for (std::size_t i : mp.cells)
+            if (mp.error || pending[i].load(std::memory_order_relaxed) == 0)
+                launch([&, i, m]() { cell_stage(i, m); });
+        if (mp.error)
             return;
-        for (std::size_t g : aggregates_of_mapping[m])
+        for (std::size_t g : mp.aggregates)
             launch([&, g]() { aggregate_stage(g); });
-        for (std::size_t g : baselines_of_mapping[m])
+        for (std::size_t g : mp.baselines)
             launch([&, g]() { baseline_stage(g); });
     };
 
     // Stage 1: generate + decompose one distinct program, count its
-    // gate stats, build its interaction graph.
+    // gate stats, build its interaction graph. A failed program still
+    // launches its mappings, which hand its error to their cells.
     auto program_stage = [&](std::size_t p) {
-        bool ready = false;
+        Program& prog = programs[p];
         try {
             {
-                obs::Span span("decompose", program_cell[p]->spec.label());
-                programs[p].circuit = qir::decompose(
-                    circuits::make_benchmark(program_cell[p]->spec,
-                                             program_cell[p]->seed));
+                obs::Span span("decompose", prog.cell->spec.label());
+                prog.circuit = qir::decompose(circuits::make_benchmark(
+                    prog.cell->spec, prog.cell->seed));
             }
-            programs[p].stats = programs[p].circuit.stats();
-            obs::Span span("graph", program_cell[p]->spec.label());
-            programs[p].graph = partition::InteractionGraph::from_circuit(
-                programs[p].circuit);
-            ready = true;
-        } catch (const std::exception& e) {
-            if (opts.rethrow_errors) {
-                pexc[p] = std::current_exception();
-            } else {
-                programs[p].error = e.what();
-                programs[p].transient_error = is_transient(e);
-                ready = true; // downstream stages record the error per row
-            }
+            prog.stats = prog.circuit.stats();
+            obs::Span span("graph", prog.cell->spec.label());
+            prog.graph =
+                partition::InteractionGraph::from_circuit(prog.circuit);
+        } catch (...) {
+            prog.error = std::current_exception();
         }
-        if (ready)
-            for (std::size_t m : mappings_of_program[p])
-                launch([&, m]() { mapping_stage(m); });
+        for (std::size_t m : prog.mappings)
+            launch([&, m]() { mapping_stage(m); });
     };
 
     for (std::size_t p = 0; p < programs.size(); ++p)
@@ -830,15 +780,6 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
     }
     if (stray)
         std::rethrow_exception(stray);
-    for (std::exception_ptr& e : pexc)
-        if (e)
-            std::rethrow_exception(e);
-    for (std::exception_ptr& e : mexc)
-        if (e)
-            std::rethrow_exception(e);
-    for (std::exception_ptr& e : cexc)
-        if (e)
-            std::rethrow_exception(e);
 
     // ---- Record freshly compiled rows ----
     // Deterministic error rows are recorded too: a capacity mismatch or

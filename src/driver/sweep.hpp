@@ -214,13 +214,12 @@ struct SweepOptions
 {
     /** Worker threads; 0 selects support::default_thread_count(). */
     std::size_t num_threads = 0;
-    /** Rethrow the first cell failure instead of recording it in-row. */
-    bool rethrow_errors = false;
     /**
      * Persistent sweep-result cache (see cache::ResultStore): consulted
      * before compiling each cell — full hits skip preparation and
-     * compilation entirely — and updated with every newly compiled row.
-     * The caller owns the store (and its flush()); may be null.
+     * compilation entirely — and updated with every newly compiled row
+     * but a transient (non-UserError) failure's. The caller owns the
+     * store (and its flush()); may be null.
      */
     cache::ResultStore* store = nullptr;
 };
@@ -238,7 +237,8 @@ SweepRow run_cell(const SweepCell& cell);
  * Compile every cell on a thread pool. Rows are returned in cell order
  * and are independent of opts.num_threads. A cell whose compilation
  * throws yields a row with ok == false and the exception text in
- * `error` (unless opts.rethrow_errors).
+ * `error`; run_sweep itself throws only on a bug (an exception that
+ * escaped a stage's own handler).
  *
  * Work shared between cells runs once, as a stage pipeline with no
  * barriers: program (generate, decompose, interaction graph) -> mapping
@@ -248,10 +248,15 @@ SweepRow run_cell(const SweepCell& cell);
  * the default/catonly/noprefetch/nofusion arms share one aggregate()
  * call. Each cell assigns, reorders, and schedules its own copy of the
  * blocks; a group's blocks are freed once its last cell holds its copy.
- * Rows, error text, and rethrow_errors behave exactly as a run_cell
- * per cell would: a shared stage's failure surfaces in each of its
- * cells after that cell's own machine checks. Cells served from
- * opts.store skip every stage.
+ * Rows and error text are a run_cell per cell's. Every shared stage
+ * hands the exception it caught to each of its cells, which rethrows it
+ * where run_cell would throw it: a program's or mapping's before the
+ * cell's own work, an aggregation's or Ferrari baseline's after the
+ * cell's own machine checks. (An OEE mapping is built without the
+ * machine, so its error also precedes the machine's override checks,
+ * which run_cell makes first.) Only deterministic (support::UserError)
+ * error rows enter opts.store. Cells served from opts.store skip every
+ * stage.
  */
 std::vector<SweepRow> run_sweep(const std::vector<SweepCell>& cells,
                                 const SweepOptions& opts = {});

@@ -33,8 +33,7 @@ multilevel_partition(const partition::InteractionGraph& g,
     // ---- Coarsen ----
     obs::Span coarsen_span("coarsen");
     CoarsenOptions copts;
-    copts.target_vertices = std::max(opts.coarsen_target, 4 * k);
-    copts.max_levels = opts.max_levels;
+    copts.target_vertices = std::max(copts.target_vertices, 4 * k);
     // A coarse vertex must fit on some node; capping at the smallest
     // capacity keeps every vertex placeable on every node, which is what
     // lets initial_partition honor heterogeneous shapes.
@@ -60,7 +59,6 @@ multilevel_partition(const partition::InteractionGraph& g,
     // ---- Uncoarsen + refine ----
     obs::Span refine_span("refine");
     RefineOptions ropts;
-    ropts.max_rounds = opts.refine_rounds;
     ropts.pool = opts.pool;
     for (std::size_t li = levels.size();; --li) {
         const partition::InteractionGraph& cur =
@@ -101,10 +99,8 @@ std::vector<NodeId>
 multilevel_partition(const partition::InteractionGraph& g,
                      const hw::Machine& m, const MultilevelOptions& opts)
 {
-    const CostModel cost = opts.topology_aware
-                               ? CostModel::from_machine(m)
-                               : CostModel::flat(m.num_nodes);
-    return multilevel_partition(g, m.capacities(), cost, opts);
+    return multilevel_partition(g, m.capacities(),
+                                CostModel::from_machine(m), opts);
 }
 
 } // namespace autocomm::multilevel

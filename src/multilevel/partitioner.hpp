@@ -27,18 +27,6 @@ namespace autocomm::multilevel {
 /** Configuration of one multilevel_partition run. */
 struct MultilevelOptions
 {
-    /** Stop coarsening at max(target, 4 x num_nodes) vertices. */
-    int coarsen_target = 96;
-    /** Hard cap on coarsening levels. */
-    int max_levels = 24;
-    /** FM rounds per uncoarsening level. */
-    int refine_rounds = 8;
-    /**
-     * Optimize the machine's hop/fidelity cost (CostModel::from_machine)
-     * instead of the flat cut. Off, every remote pair costs 1 — the
-     * classic topology-blind objective, kept for A/B comparisons.
-     */
-    bool topology_aware = true;
     /** Pool for parallel boundary refinement; nullptr refines serially.
      * The partition is identical either way (see refine.hpp). */
     support::ThreadPool* pool = nullptr;
@@ -46,7 +34,10 @@ struct MultilevelOptions
 
 /**
  * Partition the vertices of @p g onto capacities.size() nodes under
- * @p cost, never exceeding any node's capacity. Throws
+ * @p cost, never exceeding any node's capacity. Coarsening stops at
+ * max(96, 4 x num_nodes) vertices (CoarsenOptions); each uncoarsening
+ * level runs at most 8 FM rounds (refine.hpp). A flat CostModel gives
+ * the classic topology-blind objective. Throws
  * support::UserError when sum(capacities) < num_qubits. Deterministic
  * for fixed inputs, independent of opts.pool.
  */
@@ -58,8 +49,8 @@ multilevel_partition(const partition::InteractionGraph& g,
 
 /**
  * Convenience over a machine: capacities from m.capacities(), cost from
- * the machine's routing table and link fidelities (or flat when
- * !opts.topology_aware).
+ * the machine's routing table and link fidelities
+ * (CostModel::from_machine).
  */
 std::vector<NodeId>
 multilevel_partition(const partition::InteractionGraph& g,

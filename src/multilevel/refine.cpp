@@ -98,7 +98,8 @@ refine(const partition::InteractionGraph& g,
         load[static_cast<std::size_t>(part[static_cast<std::size_t>(v)])] +=
             vertex_weight[static_cast<std::size_t>(v)];
 
-    for (int round = 0; round < opts.max_rounds; ++round) {
+    constexpr int kMaxRounds = 8; // move rounds per level
+    for (int round = 0; round < kMaxRounds; ++round) {
         // Boundary vertices per part, against a snapshot of the
         // partition (tasks below never read live state).
         const std::vector<NodeId> snapshot = part;

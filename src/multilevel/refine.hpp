@@ -32,8 +32,6 @@ namespace autocomm::multilevel {
 /** Knobs for refine(). */
 struct RefineOptions
 {
-    /** Upper bound on move rounds per level. */
-    int max_rounds = 8;
     /** Pool for parallel gain evaluation; nullptr runs serially. The
      * refined partition is identical either way. */
     support::ThreadPool* pool = nullptr;
@@ -48,11 +46,11 @@ struct RefineStats
 
 /**
  * Greedy boundary refinement of @p part (vertex weights
- * @p vertex_weight, per-node @p capacities) under @p cost. Moves only
- * ever target nodes with spare capacity, so a feasible partition stays
- * feasible; an infeasible one (coarse-level overloads) is repaired by
- * rebalance() first. Guarantees weighted_cut(after) <= weighted_cut
- * (before).
+ * @p vertex_weight, per-node @p capacities) under @p cost, for at most
+ * 8 move rounds. Moves only ever target nodes with spare capacity, so a
+ * feasible partition stays feasible; an infeasible one (coarse-level
+ * overloads) is repaired by rebalance() first. Guarantees
+ * weighted_cut(after) <= weighted_cut(before).
  */
 RefineStats refine(const partition::InteractionGraph& g,
                    const std::vector<int>& vertex_weight,

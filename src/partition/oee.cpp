@@ -108,10 +108,7 @@ oee_refine(const InteractionGraph& g, std::vector<NodeId> part,
     // large registers the tail of a pass is rarely profitable, so cap the
     // exchange sequence length (quality is unaffected in practice because
     // the roll-back keeps only the best prefix anyway).
-    const int per_pass =
-        opts.max_exchanges_per_pass > 0
-            ? opts.max_exchanges_per_pass
-            : std::min(std::max(1, n / 2), 64);
+    const int per_pass = std::min(std::max(1, n / 2), 64);
 
     // Scratch for the exchange scan: each qubit's edge weight into its
     // own part, and the current `a`'s edge weights by neighbor (all zero

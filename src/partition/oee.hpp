@@ -23,14 +23,9 @@ namespace autocomm::partition {
 /** Configuration for the OEE partitioner. */
 struct OeeOptions
 {
-    /** Upper bound on improvement passes (safety valve). */
+    /** Upper bound on improvement passes (safety valve). Each pass
+     * considers at most min(n/2, 64) exchanges for n qubits. */
     int max_passes = 16;
-
-    /**
-     * Maximum exchanges considered per pass; 0 means n/2 (lock every
-     * vertex at most once per pass, the KL default).
-     */
-    int max_exchanges_per_pass = 0;
 };
 
 /**

@@ -1146,6 +1146,18 @@ seed_one_line(const TempDir& dir, const SweepCell& cell,
     return line;
 }
 
+/** @p line with its "ts" compile stamp zeroed; the stamp goes to @p ts. */
+std::string
+mask_ts(std::string line, long long* ts)
+{
+    const std::size_t at = line.find("\"ts\":");
+    EXPECT_NE(at, std::string::npos);
+    const std::size_t from = at + 5;
+    const std::size_t end = line.find(',', from);
+    *ts = std::stoll(line.substr(from, end - from));
+    return line.replace(from, end - from, "0");
+}
+
 /** @p line with @p text inserted right after the row's opening brace. */
 std::string
 into_row(std::string line, const std::string& text)
@@ -1218,10 +1230,16 @@ TEST(CacheStore, DamagedLinesAreNeverServedAndTheStoreConverges)
             EXPECT_EQ(csv, clean_csv);
             store.flush();
         }
-        // Converged: one clean segment holding the original line.
+        // Converged: one clean segment holding the original line. The
+        // recompile stamps its own time, which may fall a second after
+        // the seeded line's.
         const std::vector<std::string> names = segment_names(dir.str());
         ASSERT_EQ(names.size(), 1u);
-        EXPECT_EQ(read_text(dir.path / names.front()), line + "\n");
+        long long seeded_ts = 0;
+        long long healed_ts = 0;
+        EXPECT_EQ(mask_ts(read_text(dir.path / names.front()), &healed_ts),
+                  mask_ts(line + "\n", &seeded_ts));
+        EXPECT_GE(healed_ts, seeded_ts);
         ResultStore store(dir.str());
         EXPECT_EQ(store.stats().stale, 0u);
         EXPECT_TRUE(store.lookup(cache::cell_key(cell), cell).has_value());

@@ -341,11 +341,8 @@ TEST(MultilevelProperty, HopAwareRefineNeverWorsensFlatPartitionHopCut)
 
             // The topology-blind partition, then hop-aware refinement
             // on top: the hop-weighted cut can only improve.
-            multilevel::MultilevelOptions mlopts;
-            mlopts.topology_aware = false;
             std::vector<NodeId> flat = multilevel::multilevel_partition(
-                g, m.capacities(), multilevel::CostModel::flat(k),
-                mlopts);
+                g, m.capacities(), multilevel::CostModel::flat(k));
             const double flat_hop_cut =
                 multilevel::weighted_cut(g, flat, hops);
 

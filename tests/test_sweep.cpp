@@ -153,16 +153,6 @@ TEST(Sweep, InvalidCellIsRecordedAsErrorRow)
     EXPECT_TRUE(rows[1].ok);
 }
 
-TEST(Sweep, RethrowErrorsPropagatesWorkerExceptionToCaller)
-{
-    SweepCell bad;
-    bad.spec = {circuits::Family::QFT, -5, 2};
-    SweepOptions opts;
-    opts.num_threads = 2;
-    opts.rethrow_errors = true;
-    EXPECT_THROW(driver::run_sweep({bad}, opts), support::UserError);
-}
-
 TEST(Sweep, OptionSetsChangeTheCompilation)
 {
     SweepCell def;
@@ -446,11 +436,22 @@ TEST(Sweep, MemoizedSweepMatchesDirectRunCell)
     ASSERT_EQ(cells.size(), 24u);
     // 0-2 is not a link of the 4-node ring, so this cell is a
     // deterministic error row that shares its program, mapping, and
-    // aggregation groups with healthy cells.
+    // aggregation groups with healthy cells: it fails in the cell stage.
     SweepCell bad = cells[6];
     ASSERT_EQ(bad.label(), "QFT-12-4+ring~f0.95~t0.97/default");
     bad.link_fidelity_overrides = {{0, 2, 0.9}};
     cells.push_back(bad);
+    const std::size_t compiled = cells.size();
+    // Two cells that fail in a shared stage and so never aggregate:
+    // RCA needs an even register of at least 4 qubits, so its program
+    // stage throws; multilevel builds the machine to partition, so the
+    // bad override fails the mapping stage.
+    SweepCell no_program = cells[0];
+    no_program.spec = {circuits::Family::RCA, 3, 4};
+    cells.push_back(no_program);
+    SweepCell no_mapping = bad;
+    no_mapping.partitioner = partition::Mapper::Multilevel;
+    cells.push_back(no_mapping);
 
     std::vector<SweepRow> direct;
     for (const SweepCell& cell : cells) {
@@ -463,7 +464,10 @@ TEST(Sweep, MemoizedSweepMatchesDirectRunCell)
             direct.push_back(std::move(row));
         }
     }
-    ASSERT_FALSE(direct.back().ok);
+    ASSERT_FALSE(direct[compiled - 1].ok);
+    EXPECT_EQ(direct[compiled].error,
+              "make_rca: need an even qubit count >= 4");
+    EXPECT_EQ(direct[compiled + 1].error, direct[compiled - 1].error);
     const std::string expected = driver::sweep_csv(direct).to_string();
 
     for (std::size_t threads : {1u, 8u}) {
@@ -478,9 +482,11 @@ TEST(Sweep, MemoizedSweepMatchesDirectRunCell)
     // With stats on, aggregation runs once per distinct (program,
     // aggregate options) and once inside each distinct (program,
     // machine)'s Ferrari compile. The bad cell's machine never builds,
-    // so it compiles no baseline.
+    // so it compiles no baseline; the two shared-stage failures run
+    // neither.
     std::set<std::string> aggregations, baselines;
-    for (const SweepRow& r : direct) {
+    for (std::size_t i = 0; i < compiled; ++i) {
+        const SweepRow& r = direct[i];
         aggregations.insert(
             r.cell.spec.label() +
             (r.cell.options.opts.aggregate.use_commutation ? "" : "/sc"));
