@@ -29,37 +29,40 @@ compile(const qir::Circuit& c, const hw::QubitMapping& map,
         obs::Span span("aggregate");
         blocks = aggregate(c, map, opts.aggregate);
     }
-    return compile_aggregated(c, map, m, std::move(blocks), opts);
+    CompileResult r{lay_out(c, std::move(blocks), opts.assign), {}};
+    r.schedule = schedule_layout(r, map, m, opts.schedule);
+    return r;
 }
 
-CompileResult
-compile_aggregated(const qir::Circuit& c, const hw::QubitMapping& map,
-                   const hw::Machine& m, std::vector<CommBlock> blocks,
-                   const CompileOptions& opts)
+Layout
+lay_out(const qir::Circuit& c, std::vector<CommBlock> blocks,
+        const AssignOptions& opts)
 {
-    validate_compile_inputs(c, map, m);
-
-    CompileResult r;
-    r.blocks = std::move(blocks);
+    Layout l;
+    l.blocks = std::move(blocks);
     {
         obs::Span span("assign");
-        assign_schemes(c, r.blocks, opts.assign);
+        assign_schemes(c, l.blocks, opts);
     }
-    {
-        obs::Span span("reorder");
-        r.metrics = compute_metrics(c, r.blocks);
-        r.reordered = reorder_with_blocks(c, r.blocks, &r.block_start);
-    }
+    obs::Span span("reorder");
+    l.metrics = compute_metrics(c, l.blocks);
+    l.reordered = reorder_with_blocks(c, l.blocks, &l.block_start);
+    return l;
+}
+
+ScheduleResult
+schedule_layout(const Layout& layout, const hw::QubitMapping& map,
+                const hw::Machine& m, const ScheduleOptions& opts)
+{
+    ScheduleResult s;
     {
         obs::Span span("schedule");
-        r.schedule = schedule_program(r.reordered, r.blocks, r.block_start,
-                                      map, m, opts.schedule);
+        s = schedule_program(layout.reordered, layout.blocks,
+                             layout.block_start, map, m, opts);
     }
-    obs::count("schedule.epr_pairs",
-               static_cast<std::uint64_t>(r.schedule.epr_pairs));
-    obs::count("schedule.detours",
-               static_cast<std::uint64_t>(r.schedule.detours));
-    return r;
+    obs::count("schedule.epr_pairs", static_cast<std::uint64_t>(s.epr_pairs));
+    obs::count("schedule.detours", static_cast<std::uint64_t>(s.detours));
+    return s;
 }
 
 } // namespace autocomm::pass

@@ -38,8 +38,14 @@ struct CompileOptions
     ScheduleOptions schedule{};
 };
 
-/** Everything the pipeline produces. */
-struct CompileResult
+/**
+ * What the machine-independent stages produce: aggregation's blocks with
+ * their schemes assigned, the communication counts, and the circuit
+ * reordered around the blocks. Assignment and reordering read only the
+ * circuit and the blocks, so one layout serves every machine and every
+ * ScheduleOptions.
+ */
+struct Layout
 {
     /** Burst blocks with assigned schemes. */
     std::vector<CommBlock> blocks;
@@ -49,31 +55,43 @@ struct CompileResult
     std::vector<std::size_t> block_start;
     /** Communication metrics (Table 3 columns). */
     Metrics metrics;
+};
+
+/** Everything the pipeline produces: a layout and its schedule. */
+struct CompileResult : Layout
+{
     /** Latency simulation outcome. */
     ScheduleResult schedule;
 };
 
 /**
  * Run the full AutoComm pipeline. @p c must be decomposed to 1q/2q gates.
- * @p map must be valid for @p m (see QubitMapping::validate).
+ * @p map must be valid for @p m (see QubitMapping::validate). This is
+ * validate_compile_inputs(), aggregate(), lay_out() and schedule_layout().
  */
 CompileResult compile(const qir::Circuit& c, const hw::QubitMapping& map,
                       const hw::Machine& m, const CompileOptions& opts = {});
 
 /**
- * The stages of compile() after aggregation: assign schemes to @p blocks,
- * reorder, and schedule. @p blocks must be what aggregate() returned for
- * @p c under @p map; opts.aggregate is not read. compile() is aggregate()
- * followed by this call, so a caller compiling one (circuit, mapping)
- * under several machines or assign/schedule options can aggregate once
- * and pass each call its own copy of the blocks (assignment mutates
- * them). Inputs are validated as in compile().
+ * Assign schemes to @p blocks, count the communication metrics, and
+ * reorder @p c around the blocks. @p blocks must be what aggregate()
+ * returned for @p c. No machine or schedule option is read, so a caller
+ * compiling one aggregation under several machines or ScheduleOptions
+ * lays it out once per AssignOptions and schedules that one layout on
+ * each machine.
  */
-CompileResult compile_aggregated(const qir::Circuit& c,
-                                 const hw::QubitMapping& map,
-                                 const hw::Machine& m,
-                                 std::vector<CommBlock> blocks,
-                                 const CompileOptions& opts = {});
+Layout lay_out(const qir::Circuit& c, std::vector<CommBlock> blocks,
+               const AssignOptions& opts = {});
+
+/**
+ * Schedule @p layout on machine @p m under mapping @p map, the mapping
+ * aggregation ran with. The caller checks the inputs first (see
+ * validate_compile_inputs).
+ */
+ScheduleResult schedule_layout(const Layout& layout,
+                               const hw::QubitMapping& map,
+                               const hw::Machine& m,
+                               const ScheduleOptions& opts = {});
 
 /**
  * The input checks compile() runs before any pass: @p c and @p map agree

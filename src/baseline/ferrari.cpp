@@ -25,13 +25,21 @@ RelativeFactors
 relative_factors(std::size_t baseline_comms, double baseline_makespan,
                  const pass::CompileResult& autocomm)
 {
+    return relative_factors(baseline_comms, baseline_makespan,
+                            autocomm.metrics.total_comms,
+                            autocomm.schedule.makespan);
+}
+
+RelativeFactors
+relative_factors(std::size_t baseline_comms, double baseline_makespan,
+                 std::size_t autocomm_comms, double autocomm_makespan)
+{
     RelativeFactors f;
-    if (autocomm.metrics.total_comms > 0)
-        f.improv_factor =
-            static_cast<double>(baseline_comms) /
-            static_cast<double>(autocomm.metrics.total_comms);
-    if (autocomm.schedule.makespan > 0)
-        f.lat_dec_factor = baseline_makespan / autocomm.schedule.makespan;
+    if (autocomm_comms > 0)
+        f.improv_factor = static_cast<double>(baseline_comms) /
+                          static_cast<double>(autocomm_comms);
+    if (autocomm_makespan > 0)
+        f.lat_dec_factor = baseline_makespan / autocomm_makespan;
     return f;
 }
 

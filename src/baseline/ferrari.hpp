@@ -35,4 +35,10 @@ RelativeFactors relative_factors(std::size_t baseline_comms,
                                  double baseline_makespan,
                                  const pass::CompileResult& autocomm);
 
+/** Same, from both sides' raw comm counts and makespans. */
+RelativeFactors relative_factors(std::size_t baseline_comms,
+                                 double baseline_makespan,
+                                 std::size_t autocomm_comms,
+                                 double autocomm_makespan);
+
 } // namespace autocomm::baseline

@@ -306,30 +306,29 @@ ferrari_baseline(const qir::Circuit& circuit,
 }
 
 /**
- * Work a sweep computes once and hands to every cell that shares it. An
- * empty member means the cell computes that piece itself, as run_cell
+ * Work a sweep computes once and hands to every cell that shares it. A
+ * null member means the cell computes that piece itself, as run_cell
  * does. Errors are carried, not thrown, so each cell raises them at the
  * point run_cell would: after its own machine checks.
  */
 struct SharedWork
 {
-    /** aggregate() output for the cell's (mapping, aggregate options). */
-    std::shared_ptr<const std::vector<pass::CommBlock>> blocks;
-    /** What aggregate() threw instead, if anything. */
-    std::exception_ptr aggregate_error;
+    /** The laid-out blocks of the cell's (aggregation, assign options). */
+    std::shared_ptr<const pass::Layout> layout;
+    /** What aggregate() or lay_out() threw instead, if anything. */
+    std::exception_ptr layout_error;
     /** The Ferrari baseline of the cell's (mapping, machine). */
     const FerrariBaseline* ferrari = nullptr;
 };
 
 /** The compile half of run_cell, over prepared inputs: @p stats is
  * circuit.stats() and @p remote_cx is mapping.count_remote(circuit),
- * computed once per program and per mapping. Drops its reference to
- * @p shared.blocks once it holds its own copy. */
+ * computed once per program and per mapping. */
 SweepRow
 run_cell_prepared(const SweepCell& cell, const qir::Circuit& circuit,
                   const qir::CircuitStats& stats,
                   const hw::QubitMapping& mapping, std::size_t remote_cx,
-                  SharedWork& shared)
+                  const SharedWork& shared)
 {
     using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
@@ -351,23 +350,24 @@ run_cell_prepared(const SweepCell& cell, const qir::Circuit& circuit,
         return row;
     }
 
-    pass::CompileResult compiled;
-    if (shared.aggregate_error) {
-        // compile() checks its inputs before aggregating.
-        pass::validate_compile_inputs(circuit, mapping, machine);
-        std::rethrow_exception(shared.aggregate_error);
-    } else if (shared.blocks) {
-        std::vector<pass::CommBlock> blocks = *shared.blocks;
-        shared.blocks.reset();
-        compiled = pass::compile_aggregated(circuit, mapping, machine,
-                                            std::move(blocks),
-                                            cell.options.opts);
-    } else {
-        compiled =
-            pass::compile(circuit, mapping, machine, cell.options.opts);
+    // compile() checks its inputs before aggregating.
+    pass::validate_compile_inputs(circuit, mapping, machine);
+    if (shared.layout_error)
+        std::rethrow_exception(shared.layout_error);
+    const pass::CompileOptions& opts = cell.options.opts;
+    std::optional<pass::Layout> own;
+    if (!shared.layout) {
+        std::vector<pass::CommBlock> blocks;
+        {
+            obs::Span span("aggregate");
+            blocks = pass::aggregate(circuit, mapping, opts.aggregate);
+        }
+        own = pass::lay_out(circuit, std::move(blocks), opts.assign);
     }
-    row.metrics = compiled.metrics;
-    row.schedule = compiled.schedule;
+    const pass::Layout& layout = own ? *own : *shared.layout;
+    row.metrics = layout.metrics;
+    row.schedule =
+        pass::schedule_layout(layout, mapping, machine, opts.schedule);
 
     if (cell.with_baseline) {
         const FerrariBaseline ferrari =
@@ -376,14 +376,16 @@ run_cell_prepared(const SweepCell& cell, const qir::Circuit& circuit,
         if (ferrari.error)
             std::rethrow_exception(ferrari.error);
         row.factors = baseline::relative_factors(
-            ferrari.total_comms, ferrari.makespan, compiled);
+            ferrari.total_comms, ferrari.makespan, row.metrics.total_comms,
+            row.schedule.makespan);
     }
 
     if (cell.with_gptp) {
         const baseline::GptpResult gp =
             baseline::compile_gptp(circuit, mapping, machine);
         row.gptp_factors = baseline::relative_factors(
-            gp.total_comms, gp.makespan, compiled);
+            gp.total_comms, gp.makespan, row.metrics.total_comms,
+            row.schedule.makespan);
     }
 
     row.ok = true;
@@ -418,9 +420,8 @@ run_cell(const SweepCell& cell)
         mapping = partition::map_with(cell.partitioner, g, machine);
     }
     mapping.validate(machine);
-    SharedWork own;
     return run_cell_prepared(cell, circuit, circuit.stats(), mapping,
-                             mapping.count_remote(circuit), own);
+                             mapping.count_remote(circuit), SharedWork{});
 }
 
 std::vector<SweepRow>
@@ -476,10 +477,14 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
     // Within a mapping group, aggregation reads only the circuit, the
     // mapping, and the aggregate options, so cells sharing those share
     // one aggregate() call (the default, catonly, noprefetch, and
-    // nofusion arms all do). The Ferrari baseline reads the circuit,
-    // the mapping, and the machine, so cells sharing those share one
-    // baseline compile. Memoizing every level turns an ablation grid's
-    // shared work from O(cells) into O(distinct inputs).
+    // nofusion arms all do). Assignment, counting and reordering
+    // (lay_out) read only the circuit, the blocks and the assign options,
+    // so the cells of one aggregation that share those share one layout
+    // (default, noprefetch and nofusion do; catonly has its own), whatever
+    // their machine. The Ferrari baseline reads the circuit, the mapping,
+    // and the machine, so cells sharing those share one baseline compile.
+    // Memoizing every level turns an ablation grid's shared work from
+    // O(cells) into O(distinct inputs).
     //
     // Every stage catches its own failure into `error`; a failed program
     // or mapping passes it on unrun, and each cell rethrows it inside
@@ -510,22 +515,31 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         std::vector<std::size_t> aggregates;
         std::vector<std::size_t> baselines;
     };
-    /** One aggregate() or Ferrari compile, shared by its cells. */
+    /** One aggregate() call, one lay_out() of its blocks, or one
+     * Ferrari compile, shared by the cells below it. */
     struct Group
     {
-        std::size_t mapping = 0;
-        /** Exemplar cell: its aggregate options, or its machine recipe. */
+        /** The mapping group it reads; a layout's aggregation group. */
+        std::size_t parent = 0;
+        /** Exemplar cell: its options, or its machine recipe. */
         const SweepCell* cell = nullptr;
-        std::vector<std::size_t> cells;
+        /** The cells it releases; an aggregation's layout groups. */
+        std::vector<std::size_t> next;
+        /** A layout's input, handed over by its aggregation: its own
+         * copy of the blocks, or what aggregate() threw. */
+        std::vector<pass::CommBlock> blocks;
+        std::exception_ptr error;
     };
 
     std::map<std::string, std::size_t> program_index;
     std::map<std::string, std::size_t> mapping_index;
     std::map<std::string, std::size_t> aggregate_index;
+    std::map<std::string, std::size_t> layout_index;
     std::map<std::string, std::size_t> baseline_index;
     std::vector<Program> programs;
     std::vector<Mapping> mappings;
     std::vector<Group> aggregates;
+    std::vector<Group> layouts;
     std::vector<Group> baselines;
     // Shared stages each cell still waits for before it can start.
     std::vector<std::atomic<int>> pending(cells.size());
@@ -579,41 +593,71 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         if (cell.stats_only)
             continue; // counts only: no aggregation, no baseline
 
+        // The group keyed @p key under @p parent, opened (and listed in
+        // @p children, the parent's successors) on first use.
         auto join = [&](std::map<std::string, std::size_t>& index,
-                        std::vector<Group>& groups,
-                        std::vector<std::size_t>& of_mapping,
+                        std::vector<Group>& groups, std::size_t parent,
+                        std::vector<std::size_t>& children,
                         const std::string& key) {
             auto [it, fresh] = index.emplace(key, groups.size());
             if (fresh) {
-                groups.push_back(Group{m, &cell, {}});
-                of_mapping.push_back(it->second);
+                groups.push_back(Group{parent, &cell, {}, {}, {}});
+                children.push_back(it->second);
             }
-            groups[it->second].cells.push_back(i);
-            ++pending[i];
+            return it->second;
         };
         const pass::AggregateOptions& agg = cell.options.opts.aggregate;
-        join(aggregate_index, aggregates, mappings[m].aggregates,
-             support::strprintf("%zu|%d|%d|%d", m,
-                                agg.use_commutation ? 1 : 0,
-                                agg.absorb_local_gates ? 1 : 0,
-                                agg.comm_capacity));
-        if (cell.with_baseline)
-            join(baseline_index, baselines, mappings[m].baselines,
-                 support::strprintf("%zu|", m) + machine_key(cell));
+        const std::size_t a = join(
+            aggregate_index, aggregates, m, mappings[m].aggregates,
+            support::strprintf("%zu|%d|%d|%d", m,
+                               agg.use_commutation ? 1 : 0,
+                               agg.absorb_local_gates ? 1 : 0,
+                               agg.comm_capacity));
+        // Every AssignOptions field belongs in this key.
+        const std::size_t l = join(
+            layout_index, layouts, a, aggregates[a].next,
+            support::strprintf("%zu|%d", a,
+                               cell.options.opts.assign.allow_tp ? 1 : 0));
+        layouts[l].next.push_back(i);
+        ++pending[i];
+        if (cell.with_baseline) {
+            const std::size_t b =
+                join(baseline_index, baselines, m, mappings[m].baselines,
+                     support::strprintf("%zu|", m) + machine_key(cell));
+            baselines[b].next.push_back(i);
+            ++pending[i];
+        }
     }
+
+    // Memory bound: every shared product is freed by its last consumer,
+    // and the pool runs the newest job first, so a worker carries a
+    // program on towards its cells before it starts another one. A
+    // program's interaction graph goes with its last partition, an
+    // aggregation's blocks are handed to its layouts (the last one takes
+    // the original), a layout goes with its last cell, and a program's
+    // circuit goes with its last cell.
+    std::vector<std::atomic<std::size_t>> unmapped(programs.size());
+    std::vector<std::atomic<std::size_t>> unfinished(programs.size());
+    for (std::size_t p = 0; p < programs.size(); ++p)
+        unmapped[p] = programs[p].mappings.size();
+    for (const Mapping& mp : mappings)
+        unfinished[mp.program] += mp.cells.size();
+    auto last = [](std::atomic<std::size_t>& left) {
+        return left.fetch_sub(1, std::memory_order_acq_rel) == 1;
+    };
 
     support::ThreadPool pool(opts.num_threads);
 
     // ---- Stage pipeline over the shared-work DAG ----
     // program -> its mapping groups -> their aggregation and baseline
-    // groups -> their cells, with no barrier between stages: a cell
-    // starts compiling the moment the last shared stage it needs is
-    // done, while unrelated programs are still decomposing and other
-    // groups are still partitioning. Warm cache-hit cells and failed
-    // geometry checks never enter the pipeline at all. Rows are written
-    // by index, so the output order is the cell order no matter which
-    // worker finishes first — the result is byte-identical for every
-    // thread count.
+    // groups -> the aggregations' layout groups -> their cells, with no
+    // barrier between stages: a cell starts compiling the moment the
+    // last shared stage it needs is done, while unrelated programs are
+    // still decomposing and other groups are still partitioning. Warm
+    // cache-hit cells and failed geometry checks never enter the
+    // pipeline at all. Rows are written by index, so the output order is
+    // the cell order no matter which worker finishes first — the result
+    // is byte-identical for every thread count.
     std::vector<SharedWork> shared(cells.size());
     std::vector<FerrariBaseline> ferrari(baselines.size());
 
@@ -642,10 +686,11 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         });
     };
 
-    // Stage 4: compile cell i of mapping group m against its memoized
-    // shared work, or rethrow what its program or mapping threw.
+    // Stage 5: schedule cell i of mapping group m against its shared
+    // layout, or rethrow what a shared stage threw.
     auto cell_stage = [&](std::size_t i, std::size_t m) {
         const Mapping& mp = mappings[m];
+        Program& prog = programs[mp.program];
         // Everything this cell records — pass spans, EPR counters,
         // cache traffic — attributes to its label in the stats JSON's
         // `cells` section. The memoized stages before it stay unscoped
@@ -656,15 +701,15 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         try {
             if (mp.error)
                 std::rethrow_exception(mp.error);
-            const Program& prog = programs[mp.program];
             rows[i] = run_cell_prepared(cells[i], prog.circuit, prog.stats,
                                         *mp.map, mp.remote_cx, shared[i]);
             obs::count("pipeline.cells_completed");
         } catch (const std::exception& e) {
-            // A cell that threw before copying its blocks still lets go.
-            shared[i].blocks.reset();
             record_error(i, e);
         }
+        shared[i] = {};
+        if (last(unfinished[mp.program]))
+            prog.circuit = qir::Circuit();
     };
 
     // A shared stage finished for cell i; the last one starts the cell.
@@ -673,26 +718,56 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
             launch([&, i, m]() { cell_stage(i, m); });
     };
 
-    // Stage 3a: aggregate once for every cell of the group. Never
-    // throws: the error travels to the cells.
+    // Stage 4: assign, count and reorder one aggregation's blocks for
+    // every cell of the group. Never throws: the error travels to the
+    // cells.
+    auto layout_stage = [&](std::size_t l) {
+        Group& grp = layouts[l];
+        const std::size_t m = aggregates[grp.parent].parent;
+        std::vector<pass::CommBlock> blocks = std::move(grp.blocks);
+        std::shared_ptr<const pass::Layout> layout;
+        std::exception_ptr error = grp.error;
+        if (!error) {
+            try {
+                layout = std::make_shared<const pass::Layout>(pass::lay_out(
+                    programs[mappings[m].program].circuit,
+                    std::move(blocks), grp.cell->options.opts.assign));
+            } catch (...) {
+                error = std::current_exception();
+            }
+        }
+        for (std::size_t i : grp.next) {
+            shared[i].layout = layout;
+            shared[i].layout_error = error;
+            release(i, m);
+        }
+    };
+
+    // Stage 3a: aggregate once for every layout group below it. Each
+    // layout gets its own copy of the blocks (assignment writes them);
+    // the last one takes the original. Never throws: the error travels
+    // to the layouts.
     auto aggregate_stage = [&](std::size_t g) {
-        const Group& grp = aggregates[g];
-        const Mapping& mp = mappings[grp.mapping];
-        const qir::Circuit& circuit = programs[mp.program].circuit;
-        std::shared_ptr<const std::vector<pass::CommBlock>> blocks;
+        Group& grp = aggregates[g];
+        const Mapping& mp = mappings[grp.parent];
+        std::vector<pass::CommBlock> blocks;
         std::exception_ptr error;
         try {
-            obs::Span span("aggregate", grp.cell->spec.label());
-            blocks = std::make_shared<const std::vector<pass::CommBlock>>(
-                pass::aggregate(circuit, *mp.map,
-                                grp.cell->options.opts.aggregate));
+            {
+                obs::Span span("aggregate", grp.cell->spec.label());
+                blocks = pass::aggregate(programs[mp.program].circuit,
+                                         *mp.map,
+                                         grp.cell->options.opts.aggregate);
+            }
+            for (std::size_t k = 0; k + 1 < grp.next.size(); ++k)
+                layouts[grp.next[k]].blocks = blocks;
+            layouts[grp.next.back()].blocks = std::move(blocks);
         } catch (...) {
             error = std::current_exception();
         }
-        for (std::size_t i : grp.cells) {
-            shared[i].blocks = blocks;
-            shared[i].aggregate_error = error;
-            release(i, grp.mapping);
+        for (std::size_t l : grp.next) {
+            layouts[l].error = error;
+            launch([&, l]() { layout_stage(l); });
         }
     };
 
@@ -700,16 +775,16 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
     // on the exemplar cell's machine. Never throws, like stage 3a.
     auto baseline_stage = [&](std::size_t g) {
         const Group& grp = baselines[g];
-        const Mapping& mp = mappings[grp.mapping];
+        const Mapping& mp = mappings[grp.parent];
         try {
             ferrari[g] = ferrari_baseline(programs[mp.program].circuit,
                                           *mp.map, machine_for(*grp.cell));
         } catch (...) {
             ferrari[g].error = std::current_exception();
         }
-        for (std::size_t i : grp.cells) {
+        for (std::size_t i : grp.next) {
             shared[i].ferrari = &ferrari[g];
-            release(i, grp.mapping);
+            release(i, grp.parent);
         }
     };
 
@@ -719,7 +794,7 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
     // exemplar cell.
     auto mapping_stage = [&](std::size_t m) {
         Mapping& mp = mappings[m];
-        const Program& prog = programs[mp.program];
+        Program& prog = programs[mp.program];
         mp.error = prog.error;
         if (!mp.error) {
             try {
@@ -737,6 +812,8 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
                 mp.error = std::current_exception();
             }
         }
+        if (last(unmapped[mp.program]))
+            prog.graph.reset();
         // A failed mapping has nothing left to share: its cells start
         // at once and rethrow its error.
         for (std::size_t i : mp.cells)
@@ -772,7 +849,8 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
             launch([&, m]() { mapping_stage(m); });
     };
 
-    for (std::size_t p = 0; p < programs.size(); ++p)
+    // Newest first: launched last to first, the programs start in order.
+    for (std::size_t p = programs.size(); p-- > 0;)
         launch([&, p]() { program_stage(p); });
     {
         std::unique_lock<std::mutex> lock(pipe_mu);

@@ -127,7 +127,7 @@ ThreadPool::enqueue(std::function<void()> job)
         std::lock_guard<std::mutex> lock(mutex_);
         if (stopping_)
             fatal("ThreadPool::submit on a stopped pool");
-        jobs_.push(std::move(job));
+        jobs_.push_back(std::move(job));
     }
     cv_.notify_one();
 }
@@ -146,8 +146,8 @@ ThreadPool::worker_loop(std::size_t idx)
             cv_.wait(lock, [this]() { return stopping_ || !jobs_.empty(); });
             if (jobs_.empty())
                 return; // stopping_ and drained
-            job = std::move(jobs_.front());
-            jobs_.pop();
+            job = std::move(jobs_.back());
+            jobs_.pop_back();
         }
         active_.fetch_add(1, std::memory_order_relaxed);
         job(); // packaged_task: exceptions land in the job's future

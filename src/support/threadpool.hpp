@@ -4,9 +4,9 @@
  * submitted as callables and their results (or exceptions) come back
  * through std::future, so a worker throwing never takes down the pool.
  *
- * This is deliberately a plain FIFO pool (no work stealing): sweep cells
- * are coarse-grained — one full pass::compile each — so a single shared
- * queue is never the bottleneck.
+ * This is deliberately a plain pool with one shared queue (no work
+ * stealing): sweep jobs are coarse-grained, so the queue is never the
+ * bottleneck.
  */
 #pragma once
 
@@ -18,7 +18,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -31,7 +30,19 @@ namespace autocomm::support {
  */
 std::size_t default_thread_count();
 
-/** Fixed-size FIFO thread pool. Destruction drains pending jobs. */
+/**
+ * Fixed-size thread pool that runs the newest queued job first (a LIFO
+ * stack, not a FIFO queue). Destruction drains pending jobs.
+ *
+ * Newest-first is what bounds driver::run_sweep's memory: each stage
+ * submits its successors as it finishes, so a worker goes on with the
+ * work it just made ready (depth first) and the product it just built
+ * is consumed and freed before another program is started. A FIFO
+ * queue runs the same DAG breadth first and keeps every program's
+ * circuit, blocks and layouts alive at once. Depth-first execution keeps
+ * live space close to a serial run's (Blumofe & Leiserson, JACM 1999;
+ * Blelloch, Gibbons & Matias, JACM 1999).
+ */
 class ThreadPool
 {
   public:
@@ -84,7 +95,8 @@ class ThreadPool
     void worker_loop(std::size_t idx);
 
     std::vector<std::thread> workers_;
-    std::queue<std::function<void()>> jobs_;
+    /** Pending jobs; the back is the newest and runs first. */
+    std::vector<std::function<void()>> jobs_;
     std::mutex mutex_;
     std::condition_variable cv_;
     bool stopping_ = false;

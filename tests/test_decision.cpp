@@ -377,7 +377,7 @@ TEST(DecisionDeterminism, PerCellCountsIdenticalAcrossThreadCounts)
     struct Recorded
     {
         std::map<std::string, Counts> cells; ///< scope -> counter -> n
-        Counts aggregate;                    ///< global aggregate.*
+        Counts shared; ///< global aggregate.* and schedule.scheme.*
     };
     auto run = [&](std::size_t threads) {
         reset_obs(true);
@@ -395,11 +395,13 @@ TEST(DecisionDeterminism, PerCellCountsIdenticalAcrossThreadCounts)
                 if (name.rfind("decision.", 0) == 0)
                     out.cells[scope][name] =
                         reg.find_scoped_counter(scope, name)->value();
-        // Aggregation is a shared sweep stage, so its decisions carry
-        // no cell scope; compare them through the global counters.
+        // Aggregation and scheme assignment are shared sweep stages, so
+        // their decisions carry no cell scope; compare them through the
+        // global counters.
         for (const std::string& name : reg.counter_names())
-            if (name.rfind("decision.aggregate.", 0) == 0)
-                out.aggregate[name] = reg.find_counter(name)->value();
+            if (name.rfind("decision.aggregate.", 0) == 0 ||
+                name.rfind("decision.schedule.scheme.", 0) == 0)
+                out.shared[name] = reg.find_counter(name)->value();
         return out;
     };
 
@@ -413,7 +415,7 @@ TEST(DecisionDeterminism, PerCellCountsIdenticalAcrossThreadCounts)
         ASSERT_NE(it, parallel.cells.end()) << scope;
         EXPECT_EQ(counts, it->second) << scope;
     }
-    EXPECT_EQ(serial.aggregate, parallel.aggregate);
+    EXPECT_EQ(serial.shared, parallel.shared);
 
     // The noisy overridden-link grid must actually exercise the
     // decision-heavy paths this test pins (not vacuous equality).
@@ -422,14 +424,15 @@ TEST(DecisionDeterminism, PerCellCountsIdenticalAcrossThreadCounts)
         for (const auto& [name, value] : counts) {
             if (name.rfind("decision.schedule.purify.", 0) == 0)
                 purify += value;
-            if (name.rfind("decision.schedule.scheme.", 0) == 0)
-                scheme += value;
             if (name.rfind("decision.route.path.", 0) == 0)
                 route += value;
         }
-    for (const auto& [name, value] : serial.aggregate)
+    for (const auto& [name, value] : serial.shared) {
+        if (name.rfind("decision.schedule.scheme.", 0) == 0)
+            scheme += value;
         if (name.rfind("decision.aggregate.burst.", 0) == 0)
             burst += value;
+    }
     EXPECT_GT(purify, 0u);
     EXPECT_GT(scheme, 0u);
     EXPECT_GT(route, 0u);

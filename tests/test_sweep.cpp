@@ -24,6 +24,24 @@ using driver::SweepGrid;
 using driver::SweepOptions;
 using driver::SweepRow;
 
+/** run_cell's row for every cell; a throwing cell gives an error row. */
+std::vector<SweepRow>
+direct_rows(const std::vector<SweepCell>& cells)
+{
+    std::vector<SweepRow> direct;
+    for (const SweepCell& cell : cells) {
+        try {
+            direct.push_back(driver::run_cell(cell));
+        } catch (const std::exception& e) {
+            SweepRow row;
+            row.cell = cell;
+            row.error = e.what();
+            direct.push_back(std::move(row));
+        }
+    }
+    return direct;
+}
+
 SweepGrid
 small_grid()
 {
@@ -453,17 +471,7 @@ TEST(Sweep, MemoizedSweepMatchesDirectRunCell)
     no_mapping.partitioner = partition::Mapper::Multilevel;
     cells.push_back(no_mapping);
 
-    std::vector<SweepRow> direct;
-    for (const SweepCell& cell : cells) {
-        try {
-            direct.push_back(driver::run_cell(cell));
-        } catch (const std::exception& e) {
-            SweepRow row;
-            row.cell = cell;
-            row.error = e.what();
-            direct.push_back(std::move(row));
-        }
-    }
+    const std::vector<SweepRow> direct = direct_rows(cells);
     ASSERT_FALSE(direct[compiled - 1].ok);
     EXPECT_EQ(direct[compiled].error,
               "make_rca: need an even qubit count >= 4");
@@ -560,6 +568,80 @@ TEST(Sweep, SharedStatsAndCappedLinksMatchRunCell)
         EXPECT_EQ(rows[3].gptp_factors->lat_dec_factor,
                   direct[3].gptp_factors->lat_dec_factor);
     }
+}
+
+TEST(Sweep, OneLayoutServesEveryMachineAndScheduleArm)
+{
+    // Assignment and reordering read neither the machine nor the
+    // schedule options, so run_sweep lays out each (aggregation, assign
+    // options) once. Here one layout per program serves the default,
+    // noprefetch and nofusion arms on ring, grid and star machines,
+    // noisy or not and bandwidth-capped or not; catonly gets its own.
+    // Rows must still equal run_cell's, error rows included.
+    SweepGrid grid;
+    grid.families = {circuits::Family::QFT, circuits::Family::BV};
+    grid.qubit_counts = {12};
+    grid.node_counts = {4};
+    grid.topologies = {hw::Topology::Ring, hw::Topology::Grid,
+                       hw::Topology::Star};
+    grid.link_fidelities = {1.0, 0.95};
+    grid.target_fidelities = {0.97};
+    grid.link_bandwidths = {0, 2};
+    grid.option_sets.clear();
+    for (const char* name : {"default", "noprefetch", "nofusion", "catonly"})
+        grid.option_sets.push_back(*driver::find_option_set(name));
+    grid.with_baseline = true;
+    std::vector<SweepCell> cells = grid.cells();
+    ASSERT_EQ(cells.size(), 96u);
+    // A program that fails (RCA needs an even register of at least 4
+    // qubits) and a mapping that fails (multilevel builds the machine to
+    // partition, and 0-2 is not a link of the ring).
+    SweepCell no_program = cells[0];
+    no_program.spec = {circuits::Family::RCA, 3, 4};
+    cells.push_back(no_program);
+    SweepCell no_mapping = cells[0];
+    ASSERT_EQ(no_mapping.topology, hw::Topology::Ring);
+    no_mapping.link_fidelity_overrides = {{0, 2, 0.9}};
+    no_mapping.partitioner = partition::Mapper::Multilevel;
+    cells.push_back(no_mapping);
+
+    const std::vector<SweepRow> direct = direct_rows(cells);
+    std::size_t failed = 0, purified = 0;
+    for (const SweepRow& r : direct) {
+        failed += r.ok ? 0 : 1;
+        purified += r.schedule.purify_rounds > 0 ? 1 : 0;
+    }
+    EXPECT_EQ(failed, 2u);
+    EXPECT_GT(purified, 0u);
+    const std::string expected = driver::sweep_csv(direct).to_string();
+
+    for (std::size_t threads : {1u, 8u}) {
+        SweepOptions opts;
+        opts.num_threads = threads;
+        EXPECT_EQ(driver::sweep_csv(driver::run_sweep(cells, opts))
+                      .to_string(),
+                  expected)
+            << threads << " threads";
+    }
+
+    // With stats on, schemes are assigned once per layout (2 programs x
+    // {TP allowed, catonly}) and once inside each Ferrari compile (2
+    // programs x 12 machines), not once per cell.
+    obs::set_enabled(true);
+    obs::reset();
+    obs::Registry::instance().reset();
+    SweepOptions opts;
+    opts.num_threads = 8;
+    const std::string traced =
+        driver::sweep_csv(driver::run_sweep(cells, opts)).to_string();
+    obs::set_enabled(false);
+    EXPECT_EQ(traced, expected);
+    const obs::Histogram* assigns =
+        obs::Registry::instance().find_histogram("assign");
+    ASSERT_NE(assigns, nullptr);
+    EXPECT_EQ(assigns->count(), 2u * 2u + 2u * 12u);
+    obs::reset();
+    obs::Registry::instance().reset();
 }
 
 // ------------------------------------------------- CLI axis-list parsing

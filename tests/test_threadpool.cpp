@@ -1,14 +1,18 @@
 /**
  * @file
  * Property tests for support::ThreadPool: results and exceptions travel
- * through futures, parallel_for covers every index exactly once under
- * any thread count, and worker exceptions propagate to the caller.
+ * through futures, queued jobs run newest first, parallel_for covers
+ * every index exactly once under any thread count, and worker exceptions
+ * propagate to the caller.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <future>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "support/log.hpp"
@@ -55,6 +59,34 @@ TEST(ThreadPool, ManyJobsAllRunOnSingleThread)
     for (auto& f : futures)
         f.get();
     EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ThreadPool, NewestQueuedJobRunsFirst)
+{
+    // run_sweep's memory bound rests on this order: a stage's successors
+    // run before older queued work.
+    ThreadPool pool(1);
+    std::promise<void> started, unblock;
+    auto busy = pool.submit([&]() {
+        started.set_value();
+        unblock.get_future().wait();
+    });
+    started.get_future().wait(); // the only worker is now held busy
+    std::mutex mu;
+    std::string order;
+    auto a = pool.submit([&]() {
+        std::lock_guard<std::mutex> lock(mu);
+        order += 'A';
+    });
+    auto b = pool.submit([&]() {
+        std::lock_guard<std::mutex> lock(mu);
+        order += 'B';
+    });
+    unblock.set_value();
+    busy.get();
+    a.get();
+    b.get();
+    EXPECT_EQ(order, "BA");
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce)
