@@ -2,15 +2,21 @@
 
 namespace autocomm::baseline {
 
-pass::CompileResult
-compile_ferrari(const qir::Circuit& c, const hw::QubitMapping& map,
-                const hw::Machine& m)
+pass::CompileOptions
+ferrari_options()
 {
     pass::CompileOptions opts;
     opts.aggregate.use_commutation = false; // one block per remote gate
     opts.schedule.tp_fusion = false;        // nothing to fuse anyway
     opts.schedule.epr_prefetch = true;      // as-soon-as-possible greedy
-    return pass::compile(c, map, m, opts);
+    return opts;
+}
+
+pass::CompileResult
+compile_ferrari(const qir::Circuit& c, const hw::QubitMapping& map,
+                const hw::Machine& m)
+{
+    return pass::compile(c, map, m, ferrari_options());
 }
 
 RelativeFactors

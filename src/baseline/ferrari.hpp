@@ -14,7 +14,10 @@
 
 namespace autocomm::baseline {
 
-/** Compile with the Ferrari per-gate Cat-Comm strategy. */
+/** The Ferrari pipeline configuration: one block per remote gate. */
+pass::CompileOptions ferrari_options();
+
+/** pass::compile(c, map, m, ferrari_options()). */
 pass::CompileResult compile_ferrari(const qir::Circuit& c,
                                     const hw::QubitMapping& map,
                                     const hw::Machine& m);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
@@ -220,7 +221,7 @@ machine_for(const SweepCell& cell)
     // range check must come first because the all-to-all fallback
     // answers 1 for any pair.
     auto check_link = [&m](const LinkValue& o, const char* kind) {
-        if (o.a >= m.num_nodes || o.b >= m.num_nodes)
+        if (o.a < 0 || o.b < 0 || o.a >= m.num_nodes || o.b >= m.num_nodes)
             support::fatal("link %s override %d-%d names a node outside "
                            "this %d-node machine", kind, o.a, o.b,
                            m.num_nodes);
@@ -280,36 +281,25 @@ is_transient(const std::exception& e)
     return dynamic_cast<const support::UserError*>(&e) == nullptr;
 }
 
-/** The two numbers relative_factors reads from a Ferrari compile, or the
- * exception that compile threw. */
-struct FerrariBaseline
+/** The key of the program a cell compiles. It includes num_nodes, which
+ * no family reads yet, so a node-aware family cannot silently share a
+ * circuit across node counts, and a QASM spec's path: two files with
+ * equal qubit counts are different programs. */
+std::string
+program_key(const SweepCell& cell)
 {
-    std::size_t total_comms = 0;
-    double makespan = 0.0;
-    std::exception_ptr error;
-};
-
-FerrariBaseline
-ferrari_baseline(const qir::Circuit& circuit,
-                 const hw::QubitMapping& mapping, const hw::Machine& machine)
-{
-    FerrariBaseline b;
-    try {
-        const pass::CompileResult r =
-            baseline::compile_ferrari(circuit, mapping, machine);
-        b.total_comms = r.metrics.total_comms;
-        b.makespan = r.schedule.makespan;
-    } catch (...) {
-        b.error = std::current_exception();
-    }
-    return b;
+    return support::strprintf(
+        "%s|%d|%d|%llu|%s", circuits::family_name(cell.spec.family),
+        cell.spec.num_qubits, cell.spec.num_nodes,
+        static_cast<unsigned long long>(cell.seed),
+        cell.spec.qasm_path.c_str());
 }
 
 /**
- * Work a sweep computes once and hands to every cell that shares it. A
- * null member means the cell computes that piece itself, as run_cell
- * does. Errors are carried, not thrown, so each cell raises them at the
- * point run_cell would: after its own machine checks.
+ * The layout a sweep computes once and hands to every cell that shares
+ * it. A null layout without an error means the cell lays out its own, as
+ * run_cell does. An error is carried, not thrown, so each cell raises it
+ * at the point run_cell would: after its own machine checks.
  */
 struct SharedWork
 {
@@ -317,8 +307,6 @@ struct SharedWork
     std::shared_ptr<const pass::Layout> layout;
     /** What aggregate() or lay_out() threw instead, if anything. */
     std::exception_ptr layout_error;
-    /** The Ferrari baseline of the cell's (mapping, machine). */
-    const FerrariBaseline* ferrari = nullptr;
 };
 
 /** The compile half of run_cell, over prepared inputs: @p stats is
@@ -369,17 +357,6 @@ run_cell_prepared(const SweepCell& cell, const qir::Circuit& circuit,
     row.schedule =
         pass::schedule_layout(layout, mapping, machine, opts.schedule);
 
-    if (cell.with_baseline) {
-        const FerrariBaseline ferrari =
-            shared.ferrari ? *shared.ferrari
-                           : ferrari_baseline(circuit, mapping, machine);
-        if (ferrari.error)
-            std::rethrow_exception(ferrari.error);
-        row.factors = baseline::relative_factors(
-            ferrari.total_comms, ferrari.makespan, row.metrics.total_comms,
-            row.schedule.makespan);
-    }
-
     if (cell.with_gptp) {
         const baseline::GptpResult gp =
             baseline::compile_gptp(circuit, mapping, machine);
@@ -420,8 +397,16 @@ run_cell(const SweepCell& cell)
         mapping = partition::map_with(cell.partitioner, g, machine);
     }
     mapping.validate(machine);
-    return run_cell_prepared(cell, circuit, circuit.stats(), mapping,
-                             mapping.count_remote(circuit), SharedWork{});
+    SweepRow row = run_cell_prepared(cell, circuit, circuit.stats(), mapping,
+                                     mapping.count_remote(circuit), {});
+    if (cell.with_baseline && !cell.stats_only) {
+        const pass::CompileResult ferrari =
+            baseline::compile_ferrari(circuit, mapping, machine);
+        row.factors = baseline::relative_factors(
+            ferrari.metrics.total_comms, ferrari.schedule.makespan,
+            row.metrics.total_comms, row.schedule.makespan);
+    }
+    return row;
 }
 
 std::vector<SweepRow>
@@ -453,13 +438,26 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         }
     }
 
+    // The Ferrari baseline (pass::compile under ferrari_options()) runs
+    // as an internal cell per distinct (program, partitioner, machine) a
+    // baseline needs, appended by the grouping loop; its row only feeds
+    // factors. ferrari[i] is user cell i's, or 0. At most one is added
+    // per user cell, so the reserve keeps exemplar pointers valid.
+    const std::size_t n = cells.size();
+    std::vector<SweepCell> all;
+    all.reserve(2 * n);
+    all.insert(all.end(), cells.begin(), cells.end());
+    std::vector<std::size_t> ferrari(n, 0);
+    std::map<std::string, std::size_t> ferrari_index;
+    rows.resize(2 * n);
+
     // Error rows are cacheable only when the failure is deterministic
     // (a UserError: bad geometry, unreachable target, ...). A transient
     // failure — bad_alloc under memory pressure, say — must not be
     // served as a permanent error on every later run.
-    std::vector<char> transient(cells.size(), 0);
+    std::vector<char> transient(2 * n, 0);
     auto record_error = [&](std::size_t i, const std::exception& e) {
-        rows[i].cell = cells[i];
+        rows[i].cell = all[i];
         rows[i].ok = false;
         rows[i].error = e.what();
         transient[i] = is_transient(e);
@@ -477,14 +475,13 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
     // Within a mapping group, aggregation reads only the circuit, the
     // mapping, and the aggregate options, so cells sharing those share
     // one aggregate() call (the default, catonly, noprefetch, and
-    // nofusion arms all do). Assignment, counting and reordering
-    // (lay_out) read only the circuit, the blocks and the assign options,
-    // so the cells of one aggregation that share those share one layout
-    // (default, noprefetch and nofusion do; catonly has its own), whatever
-    // their machine. The Ferrari baseline reads the circuit, the mapping,
-    // and the machine, so cells sharing those share one baseline compile.
-    // Memoizing every level turns an ablation grid's shared work from
-    // O(cells) into O(distinct inputs).
+    // nofusion arms all do; sparse and Ferrari share another).
+    // Assignment, counting and reordering (lay_out) read only the
+    // circuit, the blocks and the assign options, so the cells of one
+    // aggregation that share those share one layout (default,
+    // noprefetch and nofusion do; catonly has its own), whatever their
+    // machine. Memoizing every level turns an ablation grid's shared work
+    // from O(cells) into O(distinct inputs).
     //
     // Every stage catches its own failure into `error`; a failed program
     // or mapping passes it on unrun, and each cell rethrows it inside
@@ -506,24 +503,24 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         std::vector<int> capacities;
         /** Exemplar cell of the group (machine recipe for non-OEE
          * partitioners; every cell in the group derives the identical
-         * machine by construction of the key). */
+         * machine by construction of the key). Always a user cell: a
+         * Ferrari cell joins its user cell's group. */
         const SweepCell* cell = nullptr;
         std::optional<hw::QubitMapping> map;
         std::size_t remote_cx = 0; ///< map->count_remote(circuit)
         std::exception_ptr error;
         std::vector<std::size_t> cells;
         std::vector<std::size_t> aggregates;
-        std::vector<std::size_t> baselines;
     };
-    /** One aggregate() call, one lay_out() of its blocks, or one
-     * Ferrari compile, shared by the cells below it. */
+    /** One aggregate() call or one lay_out() of its blocks, shared by
+     * the groups or cells below it. */
     struct Group
     {
         /** The mapping group it reads; a layout's aggregation group. */
         std::size_t parent = 0;
-        /** Exemplar cell: its options, or its machine recipe. */
+        /** Exemplar cell: its options. */
         const SweepCell* cell = nullptr;
-        /** The cells it releases; an aggregation's layout groups. */
+        /** An aggregation's layout groups; a layout's cells. */
         std::vector<std::size_t> next;
         /** A layout's input, handed over by its aggregation: its own
          * copy of the blocks, or what aggregate() threw. */
@@ -535,18 +532,14 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
     std::map<std::string, std::size_t> mapping_index;
     std::map<std::string, std::size_t> aggregate_index;
     std::map<std::string, std::size_t> layout_index;
-    std::map<std::string, std::size_t> baseline_index;
     std::vector<Program> programs;
     std::vector<Mapping> mappings;
     std::vector<Group> aggregates;
     std::vector<Group> layouts;
-    std::vector<Group> baselines;
-    // Shared stages each cell still waits for before it can start.
-    std::vector<std::atomic<int>> pending(cells.size());
 
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const SweepCell& cell = cells[i];
-        if (cached[i])
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        const SweepCell& cell = all[i];
+        if (i < n && cached[i])
             continue;
         std::vector<int> capacities;
         try {
@@ -555,18 +548,20 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
             record_error(i, e);
             continue;
         }
-        // num_nodes is part of the program key even though no current
-        // family reads it from the spec — if one ever becomes
-        // node-aware, sharing a circuit across node counts would
-        // silently diverge from run_cell(). The axes this cache is for
-        // (option set, topology, noise) never vary the key. QASM specs
-        // key on their file path too: two files with equal qubit counts
-        // are different programs.
-        const std::string pkey = support::strprintf(
-            "%s|%d|%d|%llu|%s", circuits::family_name(cell.spec.family),
-            cell.spec.num_qubits, cell.spec.num_nodes,
-            static_cast<unsigned long long>(cell.seed),
-            cell.spec.qasm_path.c_str());
+        const std::string pkey = program_key(cell);
+        if (cell.with_baseline && !cell.stats_only) {
+            auto [it, fresh] = ferrari_index.emplace(
+                pkey + "|" + partition::mapper_name(cell.partitioner) +
+                    "|" + machine_key(cell),
+                all.size());
+            if (fresh) {
+                SweepCell& f = all.emplace_back(cell);
+                f.options = {"ferrari", baseline::ferrari_options()};
+                f.with_baseline = false;
+                f.with_gptp = false;
+            }
+            ferrari[i] = it->second;
+        }
         auto [pit, pnew] = program_index.emplace(pkey, programs.size());
         if (pnew)
             programs.emplace_back().cell = &cell;
@@ -591,7 +586,7 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         }
         mappings[m].cells.push_back(i);
         if (cell.stats_only)
-            continue; // counts only: no aggregation, no baseline
+            continue; // counts only: no aggregation
 
         // The group keyed @p key under @p parent, opened (and listed in
         // @p children, the parent's successors) on first use.
@@ -619,14 +614,6 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
             support::strprintf("%zu|%d", a,
                                cell.options.opts.assign.allow_tp ? 1 : 0));
         layouts[l].next.push_back(i);
-        ++pending[i];
-        if (cell.with_baseline) {
-            const std::size_t b =
-                join(baseline_index, baselines, m, mappings[m].baselines,
-                     support::strprintf("%zu|", m) + machine_key(cell));
-            baselines[b].next.push_back(i);
-            ++pending[i];
-        }
     }
 
     // Memory bound: every shared product is freed by its last consumer,
@@ -648,18 +635,15 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
 
     support::ThreadPool pool(opts.num_threads);
 
-    // ---- Stage pipeline over the shared-work DAG ----
-    // program -> its mapping groups -> their aggregation and baseline
-    // groups -> the aggregations' layout groups -> their cells, with no
-    // barrier between stages: a cell starts compiling the moment the
-    // last shared stage it needs is done, while unrelated programs are
-    // still decomposing and other groups are still partitioning. Warm
-    // cache-hit cells and failed geometry checks never enter the
-    // pipeline at all. Rows are written by index, so the output order is
-    // the cell order no matter which worker finishes first — the result
-    // is byte-identical for every thread count.
-    std::vector<SharedWork> shared(cells.size());
-    std::vector<FerrariBaseline> ferrari(baselines.size());
+    // ---- Stage pipeline over the shared-work tree ----
+    // program -> its mapping groups -> their aggregation groups -> the
+    // aggregations' layout groups -> their cells, with no barrier between
+    // stages: each group has one parent, so a cell waits on one stage and
+    // starts the moment its layout is done, while unrelated programs are
+    // still decomposing. Warm cache-hit cells and failed geometry checks
+    // never enter the pipeline at all. Rows are written by index, so the
+    // output order is the cell order no matter which worker finishes
+    // first — the result is byte-identical for every thread count.
 
     // Completion tracking for dynamically submitted continuations.
     std::mutex pipe_mu;
@@ -688,62 +672,58 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
 
     // Stage 5: schedule cell i of mapping group m against its shared
     // layout, or rethrow what a shared stage threw.
-    auto cell_stage = [&](std::size_t i, std::size_t m) {
+    auto cell_stage = [&](std::size_t i, std::size_t m,
+                          const SharedWork& shared) {
         const Mapping& mp = mappings[m];
         Program& prog = programs[mp.program];
-        // Everything this cell records — pass spans, EPR counters,
+        // Everything a user cell records — pass spans, EPR counters,
         // cache traffic — attributes to its label in the stats JSON's
-        // `cells` section. The memoized stages before it stay unscoped
-        // on purpose: their work is shared across cells.
-        obs::CellScope scope(cells[i].label());
-        obs::count("pipeline.cells_started");
-        obs::Span span("cell", cells[i].label());
+        // `cells` section. The memoized stages before it stay unscoped on
+        // purpose, as do the Ferrari cells: their work serves other cells.
+        std::optional<obs::CellScope> scope;
+        std::optional<obs::Span> span;
+        if (i < n) {
+            scope.emplace(cells[i].label());
+            obs::count("pipeline.cells_started");
+            span.emplace("cell", cells[i].label());
+        }
         try {
             if (mp.error)
                 std::rethrow_exception(mp.error);
-            rows[i] = run_cell_prepared(cells[i], prog.circuit, prog.stats,
-                                        *mp.map, mp.remote_cx, shared[i]);
-            obs::count("pipeline.cells_completed");
+            rows[i] = run_cell_prepared(all[i], prog.circuit, prog.stats,
+                                        *mp.map, mp.remote_cx, shared);
+            if (i < n)
+                obs::count("pipeline.cells_completed");
         } catch (const std::exception& e) {
             record_error(i, e);
         }
-        shared[i] = {};
         if (last(unfinished[mp.program]))
             prog.circuit = qir::Circuit();
     };
 
-    // A shared stage finished for cell i; the last one starts the cell.
-    auto release = [&](std::size_t i, std::size_t m) {
-        if (pending[i].fetch_sub(1, std::memory_order_acq_rel) == 1)
-            launch([&, i, m]() { cell_stage(i, m); });
-    };
-
     // Stage 4: assign, count and reorder one aggregation's blocks for
-    // every cell of the group. Never throws: the error travels to the
-    // cells.
+    // every cell of the group, then start the cells. Never throws: the
+    // error travels to the cells.
     auto layout_stage = [&](std::size_t l) {
         Group& grp = layouts[l];
         const std::size_t m = aggregates[grp.parent].parent;
-        std::vector<pass::CommBlock> blocks = std::move(grp.blocks);
-        std::shared_ptr<const pass::Layout> layout;
-        std::exception_ptr error = grp.error;
-        if (!error) {
+        SharedWork shared{nullptr, grp.error};
+        if (!shared.layout_error) {
             try {
-                layout = std::make_shared<const pass::Layout>(pass::lay_out(
-                    programs[mappings[m].program].circuit,
-                    std::move(blocks), grp.cell->options.opts.assign));
+                shared.layout =
+                    std::make_shared<const pass::Layout>(pass::lay_out(
+                        programs[mappings[m].program].circuit,
+                        std::move(grp.blocks),
+                        grp.cell->options.opts.assign));
             } catch (...) {
-                error = std::current_exception();
+                shared.layout_error = std::current_exception();
             }
         }
-        for (std::size_t i : grp.next) {
-            shared[i].layout = layout;
-            shared[i].layout_error = error;
-            release(i, m);
-        }
+        for (std::size_t i : grp.next)
+            launch([&, i, m, shared]() { cell_stage(i, m, shared); });
     };
 
-    // Stage 3a: aggregate once for every layout group below it. Each
+    // Stage 3: aggregate once for every layout group below it. Each
     // layout gets its own copy of the blocks (assignment writes them);
     // the last one takes the original. Never throws: the error travels
     // to the layouts.
@@ -768,23 +748,6 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         for (std::size_t l : grp.next) {
             layouts[l].error = error;
             launch([&, l]() { layout_stage(l); });
-        }
-    };
-
-    // Stage 3b: the Ferrari baseline once for every cell of the group,
-    // on the exemplar cell's machine. Never throws, like stage 3a.
-    auto baseline_stage = [&](std::size_t g) {
-        const Group& grp = baselines[g];
-        const Mapping& mp = mappings[grp.parent];
-        try {
-            ferrari[g] = ferrari_baseline(programs[mp.program].circuit,
-                                          *mp.map, machine_for(*grp.cell));
-        } catch (...) {
-            ferrari[g].error = std::current_exception();
-        }
-        for (std::size_t i : grp.next) {
-            shared[i].ferrari = &ferrari[g];
-            release(i, grp.parent);
         }
     };
 
@@ -815,16 +778,15 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         if (last(unmapped[mp.program]))
             prog.graph.reset();
         // A failed mapping has nothing left to share: its cells start
-        // at once and rethrow its error.
+        // at once and rethrow its error. So do stats_only cells, which
+        // read only the mapping.
         for (std::size_t i : mp.cells)
-            if (mp.error || pending[i].load(std::memory_order_relaxed) == 0)
-                launch([&, i, m]() { cell_stage(i, m); });
+            if (mp.error || all[i].stats_only)
+                launch([&, i, m]() { cell_stage(i, m, {}); });
         if (mp.error)
             return;
         for (std::size_t g : mp.aggregates)
             launch([&, g]() { aggregate_stage(g); });
-        for (std::size_t g : mp.baselines)
-            launch([&, g]() { baseline_stage(g); });
     };
 
     // Stage 1: generate + decompose one distinct program, count its
@@ -859,12 +821,33 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
     if (stray)
         std::rethrow_exception(stray);
 
+    // ---- Join each cell to its Ferrari row ----
+    // run_cell compiles the baseline after the cell's own work, so a
+    // failed baseline fails only a cell that succeeded, with the
+    // baseline's error.
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t f = ferrari[i];
+        if (f == 0 || !rows[i].ok)
+            continue;
+        if (rows[f].ok) {
+            rows[i].factors = baseline::relative_factors(
+                rows[f].metrics.total_comms, rows[f].schedule.makespan,
+                rows[i].metrics.total_comms, rows[i].schedule.makespan);
+        } else {
+            rows[i] = SweepRow{};
+            rows[i].cell = cells[i];
+            rows[i].error = rows[f].error;
+            transient[i] = transient[f];
+        }
+    }
+    rows.resize(n);
+
     // ---- Record freshly compiled rows ----
     // Deterministic error rows are recorded too: a capacity mismatch or
     // unreachable purification target re-fails identically every run.
     // Persisting (flush) is the caller's call.
     if (opts.store)
-        for (std::size_t i = 0; i < cells.size(); ++i)
+        for (std::size_t i = 0; i < n; ++i)
             if (!cached[i] && !transient[i])
                 opts.store->insert(keys[i], rows[i]);
     return rows;
@@ -1056,25 +1039,26 @@ parse_override_list(const std::string& list, const char* flag,
             support::fatal("%s: \"%s\" is not an \"a-b:value\" override",
                            flag, tok.c_str());
 
-        const std::string a_tok = tok.substr(0, dash);
-        const std::string b_tok = tok.substr(dash + 1, colon - dash - 1);
-        const std::string v_tok = tok.substr(colon + 1);
         char* end = nullptr;
-        const long a = std::strtol(a_tok.c_str(), &end, 10);
-        if (a_tok.empty() || *end != '\0' || a < 0)
-            support::fatal("%s: \"%s\": node \"%s\" is not a non-negative "
-                           "integer", flag, tok.c_str(), a_tok.c_str());
-        const long b = std::strtol(b_tok.c_str(), &end, 10);
-        if (b_tok.empty() || *end != '\0' || b < 0)
-            support::fatal("%s: \"%s\": node \"%s\" is not a non-negative "
-                           "integer", flag, tok.c_str(), b_tok.c_str());
+        // Checked as a long: an id past INT_MAX must not wrap negative.
+        auto node = [&](const std::string& t) {
+            const long v = std::strtol(t.c_str(), &end, 10);
+            if (t.empty() || *end != '\0' || v < 0 || v > INT_MAX)
+                support::fatal("%s: \"%s\": node \"%s\" is not an integer "
+                               "in [0, %d]", flag, tok.c_str(), t.c_str(),
+                               INT_MAX);
+            return static_cast<int>(v);
+        };
+        const int a = node(tok.substr(0, dash));
+        const int b = node(tok.substr(dash + 1, colon - dash - 1));
+        const std::string v_tok = tok.substr(colon + 1);
         if (a == b)
             support::fatal("%s: \"%s\": a link connects two distinct "
                            "nodes", flag, tok.c_str());
 
         LinkValue o;
-        o.a = static_cast<int>(std::min(a, b));
-        o.b = static_cast<int>(std::max(a, b));
+        o.a = std::min(a, b);
+        o.b = std::max(a, b);
         if (integer_value) {
             const long v = std::strtol(v_tok.c_str(), &end, 10);
             if (v_tok.empty() || *end != '\0' || v < 0 || v > 1'000'000)

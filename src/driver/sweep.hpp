@@ -201,11 +201,10 @@ struct SweepRow
     std::optional<baseline::RelativeFactors> gptp_factors;
 
     /** Wall-clock time of the cell's own work: machine derivation,
-     * assign/reorder/schedule, and GP-TP. Work run_sweep shares between
-     * cells (decompose, graph, partition, aggregation, the Ferrari
-     * baseline) is excluded; run_cell's figure still includes its
-     * aggregation and baseline. Reported by the CLI but kept out of
-     * sweep_csv() so CSV output stays run-to-run deterministic. */
+     * schedule, and GP-TP. Shared work (decompose, graph, partition,
+     * aggregation, assign/reorder) and the Ferrari baseline are
+     * excluded; run_cell's figure adds its aggregation and layout. Kept
+     * out of sweep_csv() so CSV output stays run-to-run deterministic. */
     double compile_seconds = 0.0;
 };
 
@@ -229,7 +228,7 @@ struct SweepOptions
  * derive the machine (ceil-divided qubits per node, or the cell's shape
  * with per-node capacities, plus topology and link noise), map with the
  * cell's partitioner (OEE by default), validate, then run the pipeline
- * (and optionally the baselines).
+ * and, when asked, the GP-TP baseline and then the Ferrari baseline.
  */
 SweepRow run_cell(const SweepCell& cell);
 
@@ -241,22 +240,23 @@ SweepRow run_cell(const SweepCell& cell);
  * escaped a stage's own handler).
  *
  * Work shared between cells runs once, as a stage pipeline with no
- * barriers: program (generate, decompose, interaction graph) -> mapping
- * (partition) -> aggregation per (mapping, AggregateOptions) and the
- * Ferrari baseline per (mapping, exact machine) -> the cells. Under OEE
- * the option-set, topology, and noise axes re-partition nothing, and
- * the default/catonly/noprefetch/nofusion arms share one aggregate()
- * call. Each cell assigns, reorders, and schedules its own copy of the
- * blocks; a group's blocks are freed once its last cell holds its copy.
- * Rows and error text are a run_cell per cell's. Every shared stage
- * hands the exception it caught to each of its cells, which rethrows it
- * where run_cell would throw it: a program's or mapping's before the
- * cell's own work, an aggregation's or Ferrari baseline's after the
- * cell's own machine checks. (An OEE mapping is built without the
- * machine, so its error also precedes the machine's override checks,
- * which run_cell makes first.) Only deterministic (support::UserError)
- * error rows enter opts.store. Cells served from opts.store skip every
- * stage.
+ * barriers over a tree: program (generate, decompose, interaction graph)
+ * -> mapping (partition) -> aggregation per (mapping, AggregateOptions)
+ * -> layout (assign, count, reorder) per (aggregation, AssignOptions) ->
+ * the cells, which build their machine and schedule. Under OEE the
+ * option-set, topology, and noise axes re-partition nothing; the
+ * default/catonly/noprefetch/nofusion arms share one aggregation, and
+ * default/noprefetch/nofusion one layout. The Ferrari baseline is an
+ * internal cell per (program, partitioner, machine) that shares the
+ * sparse arm's aggregation and layout; its row, never returned or
+ * stored, sets its cells' factors. Rows and error text are a run_cell
+ * per cell's: a stage's error is rethrown where run_cell would throw it
+ * (a program's or mapping's before the cell's own work, an
+ * aggregation's or layout's after the cell's machine checks, the
+ * baseline's after the cell's compile), except that an OEE mapping is
+ * built without the machine, so its error precedes the machine's
+ * override checks. Only deterministic (support::UserError) error rows
+ * enter opts.store. Cells served from opts.store skip every stage.
  */
 std::vector<SweepRow> run_sweep(const std::vector<SweepCell>& cells,
                                 const SweepOptions& opts = {});

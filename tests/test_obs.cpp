@@ -531,6 +531,77 @@ TEST(ObsScope, SweepAttributionIsDeterministicAcrossThreadCounts)
     EXPECT_EQ(scoped_epr, reg.find_counter("schedule.epr_pairs")->value());
 }
 
+TEST(ObsScope, FerrariCellsStayUnscoped)
+{
+    // run_sweep compiles the Ferrari baseline as internal cells, one per
+    // (program, machine). They record globally, as shared stages do, and
+    // open no scope, no `cell` span and no pipeline.cells_* count: the
+    // stats JSON has exactly the user's cells, at any thread count.
+    driver::SweepGrid grid;
+    grid.families = {circuits::Family::QFT, circuits::Family::QAOA};
+    grid.qubit_counts = {12};
+    grid.node_counts = {2};
+    grid.topologies = {hw::Topology::AllToAll, hw::Topology::Ring};
+    grid.option_sets = {driver::OptionSet{},
+                        *driver::find_option_set("sparse")};
+    grid.with_baseline = true;
+    const std::vector<driver::SweepCell> cells = grid.cells();
+    ASSERT_EQ(cells.size(), 8u);
+    const std::size_t ferrari_cells = 2 * 2; // programs x machines
+
+    std::vector<std::string> labels;
+    for (const driver::SweepCell& c : cells)
+        labels.push_back(c.label());
+    std::sort(labels.begin(), labels.end());
+
+    auto csv_of = [&](bool traced, std::size_t threads) {
+        reset_obs(traced);
+        driver::SweepOptions opts;
+        opts.num_threads = threads;
+        const std::vector<driver::SweepRow> rows =
+            driver::run_sweep(cells, opts);
+        obs::set_enabled(false);
+        for (const driver::SweepRow& r : rows) {
+            EXPECT_TRUE(r.ok) << r.cell.label() << ": " << r.error;
+            EXPECT_TRUE(r.factors && r.factors->improv_factor > 0.0)
+                << r.cell.label();
+        }
+        return driver::sweep_csv(rows).to_string();
+    };
+
+    const std::string untraced = csv_of(false, 8);
+    for (std::size_t threads : {1u, 8u}) {
+        EXPECT_EQ(csv_of(true, threads), untraced) << threads << " threads";
+        const obs::Registry& reg = obs::Registry::instance();
+        EXPECT_EQ(reg.scope_names(), labels) << threads << " threads";
+        std::uint64_t scoped_schedules = 0;
+        for (const std::string& scope : reg.scope_names()) {
+            const obs::Counter* started =
+                reg.find_scoped_counter(scope, "pipeline.cells_started");
+            const obs::Counter* completed =
+                reg.find_scoped_counter(scope, "pipeline.cells_completed");
+            const obs::Histogram* cell = reg.find_scoped_histogram(scope,
+                                                                   "cell");
+            ASSERT_TRUE(started && completed && cell) << scope;
+            EXPECT_EQ(started->value(), 1u) << scope;
+            EXPECT_EQ(completed->value(), 1u) << scope;
+            EXPECT_EQ(cell->count(), 1u) << scope;
+            if (const obs::Histogram* h =
+                    reg.find_scoped_histogram(scope, "schedule"))
+                scoped_schedules += h->count();
+        }
+        ASSERT_NE(reg.find_counter("pipeline.cells_started"), nullptr);
+        EXPECT_EQ(reg.find_counter("pipeline.cells_started")->value(),
+                  cells.size());
+        // The Ferrari schedules ran, globally only.
+        EXPECT_EQ(scoped_schedules, cells.size());
+        ASSERT_NE(reg.find_histogram("schedule"), nullptr);
+        EXPECT_EQ(reg.find_histogram("schedule")->count(),
+                  cells.size() + ferrari_cells);
+    }
+    reset_obs(false);
+}
+
 TEST(ObsScope, WarmStoreLookupsAttributePerCell)
 {
     namespace fs = std::filesystem;

@@ -431,10 +431,11 @@ TEST(Sweep, CsvReportsNoiseColumnsAndValues)
 TEST(Sweep, MemoizedSweepMatchesDirectRunCell)
 {
     // run_sweep memoizes circuits, interaction graphs, OEE mappings,
-    // aggregation (per mapping and aggregate options), and the Ferrari
-    // baseline (per mapping and machine) across cells. Its CSV must
-    // still equal one built from uncached run_cell rows, byte for byte,
-    // at any thread count, error rows included.
+    // aggregation (per mapping and aggregate options) and layouts across
+    // cells, and runs the Ferrari baseline as one more cell per (mapping,
+    // machine) on those same shared stages. Its CSV must still equal one
+    // built from uncached run_cell rows, byte for byte, at any thread
+    // count, error rows included.
     SweepGrid grid;
     grid.families = {circuits::Family::QFT, circuits::Family::BV};
     grid.qubit_counts = {12};
@@ -488,22 +489,19 @@ TEST(Sweep, MemoizedSweepMatchesDirectRunCell)
     }
 
     // With stats on, aggregation runs once per distinct (program,
-    // aggregate options) and once inside each distinct (program,
-    // machine)'s Ferrari compile. The bad cell's machine never builds,
-    // so it compiles no baseline; the two shared-stage failures run
-    // neither.
-    std::set<std::string> aggregations, baselines;
+    // aggregate options), and nowhere else: the Ferrari cells aggregate
+    // without commutation, as the sparse arm does, so they share its
+    // aggregation. (A Ferrari compile per (program, machine) would add
+    // one more per healthy machine, 8 in all.) The two shared-stage
+    // failures aggregate nothing.
+    std::set<std::string> aggregations;
     for (std::size_t i = 0; i < compiled; ++i) {
         const SweepRow& r = direct[i];
         aggregations.insert(
             r.cell.spec.label() +
             (r.cell.options.opts.aggregate.use_commutation ? "" : "/sc"));
-        if (r.ok)
-            baselines.insert(r.cell.spec.label() + "+" +
-                             hw::topology_name(r.cell.topology));
     }
     ASSERT_EQ(aggregations.size(), 4u);
-    ASSERT_EQ(baselines.size(), 4u);
     obs::set_enabled(true);
     obs::reset();
     obs::Registry::instance().reset();
@@ -516,7 +514,7 @@ TEST(Sweep, MemoizedSweepMatchesDirectRunCell)
     const obs::Histogram* spans =
         obs::Registry::instance().find_histogram("aggregate");
     ASSERT_NE(spans, nullptr);
-    EXPECT_EQ(spans->count(), aggregations.size() + baselines.size());
+    EXPECT_EQ(spans->count(), aggregations.size());
     obs::reset();
     obs::Registry::instance().reset();
 }
@@ -576,7 +574,8 @@ TEST(Sweep, OneLayoutServesEveryMachineAndScheduleArm)
     // schedule options, so run_sweep lays out each (aggregation, assign
     // options) once. Here one layout per program serves the default,
     // noprefetch and nofusion arms on ring, grid and star machines,
-    // noisy or not and bandwidth-capped or not; catonly gets its own.
+    // noisy or not and bandwidth-capped or not; catonly gets its own,
+    // and so does the Ferrari baseline, which all 12 machines share.
     // Rows must still equal run_cell's, error rows included.
     SweepGrid grid;
     grid.families = {circuits::Family::QFT, circuits::Family::BV};
@@ -624,9 +623,9 @@ TEST(Sweep, OneLayoutServesEveryMachineAndScheduleArm)
             << threads << " threads";
     }
 
-    // With stats on, schemes are assigned once per layout (2 programs x
-    // {TP allowed, catonly}) and once inside each Ferrari compile (2
-    // programs x 12 machines), not once per cell.
+    // With stats on, schemes are assigned once per layout: 2 programs x
+    // {TP allowed, catonly, Ferrari}. Not once per cell, and not once
+    // per Ferrari (program, machine), which would make 2x2 + 2x12 = 28.
     obs::set_enabled(true);
     obs::reset();
     obs::Registry::instance().reset();
@@ -639,7 +638,7 @@ TEST(Sweep, OneLayoutServesEveryMachineAndScheduleArm)
     const obs::Histogram* assigns =
         obs::Registry::instance().find_histogram("assign");
     ASSERT_NE(assigns, nullptr);
-    EXPECT_EQ(assigns->count(), 2u * 2u + 2u * 12u);
+    EXPECT_EQ(assigns->count(), 2u * 3u);
     obs::reset();
     obs::Registry::instance().reset();
 }
@@ -767,6 +766,34 @@ TEST(SweepParse, MalformedOverrideSpecsEchoTheToken)
     expect_error("0-1:2.5", true, "2.5");       // non-integer bandwidth
     expect_error("0-1:-1", true, "-1");         // negative bandwidth
     expect_error("", false, "empty");
+    // Node ids past INT_MAX must not wrap to negative ids ("1--1" and
+    // "-2--1") when narrowed to int.
+    expect_error("1-4294967295:0.9", false, "4294967295");
+    expect_error("4294967295-4294967294:0.9", false, "4294967295");
+    expect_error("0-2147483648:0.9", false, "2147483648");
+}
+
+TEST(Sweep, NegativeOverrideNodeIsAFriendlyErrorRow)
+{
+    // machine_for range-checks both ends before it reads the routing
+    // table, so a negative id from a caller that skipped the parser is
+    // an error row, not an out-of-bounds read.
+    SweepCell bad;
+    bad.spec = {circuits::Family::QFT, 8, 4};
+    bad.topology = hw::Topology::Ring;
+    bad.link_fidelity_overrides = {{-2, -1, 0.9}};
+    try {
+        driver::machine_for(bad);
+        FAIL() << "expected UserError";
+    } catch (const support::UserError& e) {
+        EXPECT_NE(std::string(e.what()).find("outside"), std::string::npos)
+            << e.what();
+    }
+    const std::vector<SweepRow> rows = driver::run_sweep({bad}, {});
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_FALSE(rows[0].ok);
+    EXPECT_NE(rows[0].error.find("outside"), std::string::npos)
+        << rows[0].error;
 }
 
 TEST(SweepParse, ShardSpecValidatesIndexAndCount)
