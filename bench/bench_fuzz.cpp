@@ -120,7 +120,7 @@ usage(const char* argv0)
         "  --target F       purification target of the noisy scenarios "
         "(default 0.99)\n"
         "  --ccx            include Toffoli gates in the mix\n"
-        "  --threads N      worker threads\n"
+        "  --threads N      worker threads, 1..1024\n"
         "  --dump-dir DIR   where failing-seed repros are written "
         "(default .)\n"
         "  --emit-qasm PATH write the first seed's circuit as OpenQASM "
@@ -209,8 +209,7 @@ main(int argc, char** argv)
             } else if (arg == "--ccx") {
                 ccx = true;
             } else if (arg == "--threads") {
-                num_threads = static_cast<std::size_t>(
-                    driver::parse_int_list(value(), "--threads", 1).at(0));
+                num_threads = driver::parse_threads(value(), "--threads");
             } else if (arg == "--dump-dir") {
                 dump_dir = value();
             } else if (arg == "--emit-qasm") {
@@ -311,9 +310,7 @@ main(int argc, char** argv)
         fail_qasm = qir::to_qasm(c);
     };
 
-    support::ThreadPool pool(num_threads);
-    support::parallel_for(pool, num_seeds, [&](std::size_t idx) {
-        const std::uint64_t seed = seed_lo + idx;
+    auto check_seed = [&](std::uint64_t seed) {
         verify::RandomCircuitOptions ropts;
         ropts.num_qubits = qubits;
         ropts.depth = depth;
@@ -422,7 +419,11 @@ main(int argc, char** argv)
 
         if (!report.empty())
             record_failure(seed, report, raw);
-    });
+    };
+    support::ThreadPool pool(num_threads);
+    for (std::uint64_t seed = seed_lo; seed < seed_hi; ++seed)
+        pool.submit([&check_seed, seed]() { check_seed(seed); });
+    pool.wait();
 
     bench::finish_obs_cli(obs_cli);
 
@@ -443,8 +444,8 @@ main(int argc, char** argv)
         rf << fail_report;
     }
     // The flight-recorder dump: the last events of every lane (bounded
-    // by --ring) as a Chrome trace next to the QASM repro. Pools have
-    // drained (parallel_for returned) and the sampler is stopped
+    // by --ring) as a Chrome trace next to the QASM repro. The pool has
+    // drained (pool.wait() returned) and the sampler is stopped
     // (finish_obs_cli above), so collection is quiescent here.
     std::string trace_note;
     if (obs::enabled() && obs::write_chrome_trace(stem + "-trace.json"))

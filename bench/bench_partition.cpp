@@ -13,9 +13,9 @@
  *
  * Wall times are the minimum over --reps runs (the usual denoising for
  * wall-clock microbenchmarks); cuts are deterministic and identical
- * across reps and thread counts. The `speedup` column is relative to
- * OEE in the same scenario (1.0 for OEE itself; 0 when OEE is not in
- * the partitioner list).
+ * across reps. The `speedup` column is relative to OEE in the same
+ * scenario (1.0 for OEE itself; 0 when OEE is not in the partitioner
+ * list).
  */
 #include <chrono>
 #include <cstdio>
@@ -33,7 +33,6 @@
 #include "support/csv.hpp"
 #include "support/log.hpp"
 #include "support/table.hpp"
-#include "support/threadpool.hpp"
 
 namespace {
 
@@ -62,8 +61,6 @@ usage(const char* argv0)
         "all_to_all,ring,grid)\n"
         "  --partitioner LIST\n"
         "                   oee,multilevel,multilevel+oee (default all)\n"
-        "  --threads N      refinement threads (default AUTOCOMM_THREADS "
-        "or hardware)\n"
         "  --seed S         circuit-generation seed (default 2022)\n"
         "  --reps N         timing repetitions, min reported (default 3)\n"
         "  --csv PATH       write the comparison as CSV\n"
@@ -94,7 +91,6 @@ main(int argc, char** argv)
                                             hw::Topology::Ring,
                                             hw::Topology::Grid};
     std::vector<partition::Mapper> mappers = partition::all_mappers();
-    std::size_t num_threads = support::default_thread_count();
     std::uint64_t seed = 2022;
     int reps = 3;
     std::string csv_path;
@@ -122,9 +118,6 @@ main(int argc, char** argv)
             } else if (arg == "--partitioner") {
                 mappers =
                     driver::parse_mapper_list(value(), "--partitioner");
-            } else if (arg == "--threads") {
-                num_threads = static_cast<std::size_t>(
-                    driver::parse_int_list(value(), "--threads").at(0));
             } else if (arg == "--seed") {
                 seed = static_cast<std::uint64_t>(
                     driver::parse_int_list(value(), "--seed", 0,
@@ -158,7 +151,6 @@ main(int argc, char** argv)
 
     bench::apply_obs_cli(obs_cli);
 
-    support::ThreadPool pool(num_threads);
     support::Table t({"Scenario", "Partitioner", "Wall (ms)", "Flat cut",
                       "Hops cut", "Weighted cut", "Speedup"});
     support::CsvWriter csv({"name", "qubits", "nodes", "topology", "shape",
@@ -214,16 +206,13 @@ main(int argc, char** argv)
         std::vector<Timed> timed;
         double oee_ms = 0.0;
         for (partition::Mapper m : mappers) {
-            partition::MapperOptions mopts;
-            mopts.multilevel.pool = &pool;
             Timed run{m, {}, 0.0};
             try {
                 for (int r = 0; r < reps; ++r) {
                     const auto t0 = clock_type::now();
                     obs::Span span("partition",
                                    scenario + "/" + partition::mapper_name(m));
-                    run.part =
-                        partition::partition_with(m, *graph, machine, mopts);
+                    run.part = partition::partition_with(m, *graph, machine);
                     const double ms_r = ms_since(t0);
                     if (r == 0 || ms_r < run.best_ms)
                         run.best_ms = ms_r;

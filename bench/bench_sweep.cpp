@@ -28,6 +28,7 @@
  *       --csv full.csv                                # == unsharded CSV
  */
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -105,8 +106,8 @@ usage(const char* argv0)
         "                   (default oee, the paper's mapper)\n"
         "  --opts LIST      option sets (default \"default\"; see "
         "--list-opts)\n"
-        "  --threads N      worker threads (default AUTOCOMM_THREADS or "
-        "hardware)\n"
+        "  --threads N      worker threads, 1..1024 (default "
+        "AUTOCOMM_THREADS or hardware)\n"
         "  --seed S         circuit-generation seed (default 2022)\n"
         "  --baseline       also run the Ferrari baseline per cell\n"
         "  --csv PATH       write the sweep rows as CSV\n"
@@ -232,15 +233,20 @@ main(int argc, char** argv)
                     grid.option_sets.push_back(*o);
                 }
             } else if (arg == "--threads") {
-                sweep_opts.num_threads = static_cast<std::size_t>(
-                    driver::parse_int_list(value(), "--threads").at(0));
+                sweep_opts.num_threads =
+                    driver::parse_threads(value(), "--threads");
             } else if (arg == "--seed") {
                 const std::string s = value();
                 char* end = nullptr;
+                errno = 0;
                 grid.seed = std::strtoull(s.c_str(), &end, 10);
-                if (end == s.c_str() || *end != '\0')
+                // strtoull wraps "-1" and saturates an overflow to
+                // UINT64_MAX, so a leading non-digit and ERANGE are
+                // rejected too.
+                if (s.empty() || s[0] < '0' || s[0] > '9' || *end != '\0' ||
+                    errno == ERANGE)
                     support::fatal("--seed: \"%s\" is not an unsigned "
-                                   "integer", s.c_str());
+                                   "64-bit integer", s.c_str());
             } else if (arg == "--baseline") {
                 grid.with_baseline = true;
             } else if (arg == "--csv") {

@@ -4,12 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <climits>
-#include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -638,37 +636,15 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
     // ---- Stage pipeline over the shared-work tree ----
     // program -> its mapping groups -> their aggregation groups -> the
     // aggregations' layout groups -> their cells, with no barrier between
-    // stages: each group has one parent, so a cell waits on one stage and
-    // starts the moment its layout is done, while unrelated programs are
-    // still decomposing. Warm cache-hit cells and failed geometry checks
-    // never enter the pipeline at all. Rows are written by index, so the
-    // output order is the cell order no matter which worker finishes
-    // first — the result is byte-identical for every thread count.
-
-    // Completion tracking for dynamically submitted continuations.
-    std::mutex pipe_mu;
-    std::condition_variable pipe_done;
-    std::size_t outstanding = 0;
-    std::exception_ptr stray; // escaped a stage's own handler: a bug
-
-    auto launch = [&](auto&& body) {
-        {
-            std::lock_guard<std::mutex> lock(pipe_mu);
-            ++outstanding;
-        }
-        pool.submit([&, body = std::forward<decltype(body)>(body)]() {
-            try {
-                body();
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(pipe_mu);
-                if (!stray)
-                    stray = std::current_exception();
-            }
-            std::lock_guard<std::mutex> lock(pipe_mu);
-            if (--outstanding == 0)
-                pipe_done.notify_all();
-        });
-    };
+    // stages: each stage submits its successors to the pool as it
+    // finishes, and each group has one parent, so a cell waits on one
+    // stage and starts the moment its layout is done, while unrelated
+    // programs are still decomposing. Every stage catches its own
+    // failure, so pool.wait() rethrows only a bug. Warm cache-hit cells
+    // and failed geometry checks never enter the pipeline at all. Rows
+    // are written by index, so the output order is the cell order no
+    // matter which worker finishes first — the result is byte-identical
+    // for every thread count.
 
     // Stage 5: schedule cell i of mapping group m against its shared
     // layout, or rethrow what a shared stage threw.
@@ -720,7 +696,7 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
             }
         }
         for (std::size_t i : grp.next)
-            launch([&, i, m, shared]() { cell_stage(i, m, shared); });
+            pool.submit([&, i, m, shared]() { cell_stage(i, m, shared); });
     };
 
     // Stage 3: aggregate once for every layout group below it. Each
@@ -747,7 +723,7 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         }
         for (std::size_t l : grp.next) {
             layouts[l].error = error;
-            launch([&, l]() { layout_stage(l); });
+            pool.submit([&, l]() { layout_stage(l); });
         }
     };
 
@@ -782,16 +758,16 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         // read only the mapping.
         for (std::size_t i : mp.cells)
             if (mp.error || all[i].stats_only)
-                launch([&, i, m]() { cell_stage(i, m, {}); });
+                pool.submit([&, i, m]() { cell_stage(i, m, {}); });
         if (mp.error)
             return;
         for (std::size_t g : mp.aggregates)
-            launch([&, g]() { aggregate_stage(g); });
+            pool.submit([&, g]() { aggregate_stage(g); });
     };
 
     // Stage 1: generate + decompose one distinct program, count its
     // gate stats, build its interaction graph. A failed program still
-    // launches its mappings, which hand its error to their cells.
+    // submits its mappings, which hand its error to their cells.
     auto program_stage = [&](std::size_t p) {
         Program& prog = programs[p];
         try {
@@ -808,18 +784,13 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
             prog.error = std::current_exception();
         }
         for (std::size_t m : prog.mappings)
-            launch([&, m]() { mapping_stage(m); });
+            pool.submit([&, m]() { mapping_stage(m); });
     };
 
-    // Newest first: launched last to first, the programs start in order.
+    // Newest first: submitted last to first, the programs start in order.
     for (std::size_t p = programs.size(); p-- > 0;)
-        launch([&, p]() { program_stage(p); });
-    {
-        std::unique_lock<std::mutex> lock(pipe_mu);
-        pipe_done.wait(lock, [&]() { return outstanding == 0; });
-    }
-    if (stray)
-        std::rethrow_exception(stray);
+        pool.submit([&, p]() { program_stage(p); });
+    pool.wait();
 
     // ---- Join each cell to its Ferrari row ----
     // run_cell compiles the baseline after the cell's own work, so a
@@ -1102,10 +1073,24 @@ parse_shard(const std::string& spec, const char* flag)
     const bool i_ok = !i_tok.empty() && *end == '\0';
     const long n = std::strtol(n_tok.c_str(), &end, 10);
     const bool n_ok = !n_tok.empty() && *end == '\0';
-    if (!i_ok || !n_ok || i < 0 || n < 1 || i >= n)
+    // Checked as a long: a count past INT_MAX must not wrap when
+    // narrowed to int.
+    if (!i_ok || !n_ok || i < 0 || n < 1 || i >= n || n > INT_MAX)
         support::fatal("%s: \"%s\" is not an \"i/N\" shard spec with "
-                       "0 <= i < N", flag, spec.c_str());
+                       "0 <= i < N <= %d", flag, spec.c_str(), INT_MAX);
     return ShardSpec{static_cast<int>(i), static_cast<int>(n)};
+}
+
+std::size_t
+parse_threads(const std::string& value, const char* flag)
+{
+    char* end = nullptr;
+    const long n = std::strtol(value.c_str(), &end, 10);
+    if (value.empty() || *end != '\0' || n < 1 ||
+        static_cast<unsigned long>(n) > support::kMaxThreads)
+        support::fatal("%s: \"%s\" is not a thread count in [1, %zu]",
+                       flag, value.c_str(), support::kMaxThreads);
+    return static_cast<std::size_t>(n);
 }
 
 std::vector<std::string>

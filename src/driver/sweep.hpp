@@ -264,7 +264,7 @@ std::vector<SweepRow> run_sweep(const std::vector<SweepCell>& cells,
 /** Serialize rows as a CSV document (deterministic columns only). */
 support::CsvWriter sweep_csv(const std::vector<SweepRow>& rows);
 
-// ---- CLI axis-list parsing (shared by bench_sweep / bench_partition) ----
+// ---- CLI parsing (shared by the bench CLIs) ----
 // Every parser throws support::UserError with the offending token echoed
 // and the flag named, so CLI errors read like
 //   --topology: unknown topology "torus" (expected all_to_all, ring,
@@ -321,8 +321,12 @@ struct ShardSpec
     int count = 1;
 };
 
-/** Parse an "i/N" shard spec with 0 <= i < N (so "0/0" and "3/2" are
- * rejected with the offending spec echoed). */
+/** Parse an "i/N" shard spec with 0 <= i < N <= INT_MAX (so "0/0",
+ * "3/2" and "0/4294967298" are rejected with the offending spec
+ * echoed). */
 ShardSpec parse_shard(const std::string& spec, const char* flag);
+
+/** Parse a worker-thread count in [1, support::kMaxThreads]. */
+std::size_t parse_threads(const std::string& value, const char* flag);
 
 } // namespace autocomm::driver

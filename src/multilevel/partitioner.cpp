@@ -12,7 +12,7 @@ namespace autocomm::multilevel {
 std::vector<NodeId>
 multilevel_partition(const partition::InteractionGraph& g,
                      const std::vector<int>& capacities,
-                     const CostModel& cost, const MultilevelOptions& opts)
+                     const CostModel& cost)
 {
     const int n = g.num_qubits();
     const int k = static_cast<int>(capacities.size());
@@ -58,15 +58,13 @@ multilevel_partition(const partition::InteractionGraph& g,
 
     // ---- Uncoarsen + refine ----
     obs::Span refine_span("refine");
-    RefineOptions ropts;
-    ropts.pool = opts.pool;
     for (std::size_t li = levels.size();; --li) {
         const partition::InteractionGraph& cur =
             li == 0 ? g : levels[li - 1].graph;
         const std::vector<int>& vw =
             li == 0 ? unit_weights : levels[li - 1].vertex_weight;
         rebalance(cur, vw, capacities, cost, part);
-        refine(cur, vw, capacities, cost, part, ropts);
+        refine(cur, vw, capacities, cost, part);
         if (li == 0)
             break;
         // Project onto the next finer level: each fine vertex inherits
@@ -97,10 +95,10 @@ multilevel_partition(const partition::InteractionGraph& g,
 
 std::vector<NodeId>
 multilevel_partition(const partition::InteractionGraph& g,
-                     const hw::Machine& m, const MultilevelOptions& opts)
+                     const hw::Machine& m)
 {
     return multilevel_partition(g, m.capacities(),
-                                CostModel::from_machine(m), opts);
+                                CostModel::from_machine(m));
 }
 
 } // namespace autocomm::multilevel

@@ -24,14 +24,6 @@
 
 namespace autocomm::multilevel {
 
-/** Configuration of one multilevel_partition run. */
-struct MultilevelOptions
-{
-    /** Pool for parallel boundary refinement; nullptr refines serially.
-     * The partition is identical either way (see refine.hpp). */
-    support::ThreadPool* pool = nullptr;
-};
-
 /**
  * Partition the vertices of @p g onto capacities.size() nodes under
  * @p cost, never exceeding any node's capacity. Coarsening stops at
@@ -39,13 +31,12 @@ struct MultilevelOptions
  * level runs at most 8 FM rounds (refine.hpp). A flat CostModel gives
  * the classic topology-blind objective. Throws
  * support::UserError when sum(capacities) < num_qubits. Deterministic
- * for fixed inputs, independent of opts.pool.
+ * for fixed inputs.
  */
 std::vector<NodeId>
 multilevel_partition(const partition::InteractionGraph& g,
                      const std::vector<int>& capacities,
-                     const CostModel& cost,
-                     const MultilevelOptions& opts = {});
+                     const CostModel& cost);
 
 /**
  * Convenience over a machine: capacities from m.capacities(), cost from
@@ -54,7 +45,6 @@ multilevel_partition(const partition::InteractionGraph& g,
  */
 std::vector<NodeId>
 multilevel_partition(const partition::InteractionGraph& g,
-                     const hw::Machine& m,
-                     const MultilevelOptions& opts = {});
+                     const hw::Machine& m);
 
 } // namespace autocomm::multilevel

@@ -65,8 +65,8 @@ swap_gain(const partition::InteractionGraph& g,
            2.0 * static_cast<double>(g.weight(u, v)) * cost.cost(pu, pv);
 }
 
-/** Total order on candidates so the applied sequence is deterministic
- * no matter which pair task produced them. */
+/** Total order on candidates, so the applied sequence does not depend
+ * on the order they were scored in. */
 bool
 move_order(const Move& a, const Move& b)
 {
@@ -85,7 +85,7 @@ RefineStats
 refine(const partition::InteractionGraph& g,
        const std::vector<int>& vertex_weight,
        const std::vector<int>& capacities, const CostModel& cost,
-       std::vector<NodeId>& part, const RefineOptions& opts)
+       std::vector<NodeId>& part)
 {
     const int n = g.num_qubits();
     const int k = static_cast<int>(capacities.size());
@@ -100,94 +100,78 @@ refine(const partition::InteractionGraph& g,
 
     constexpr int kMaxRounds = 8; // move rounds per level
     for (int round = 0; round < kMaxRounds; ++round) {
-        // Boundary vertices per part, against a snapshot of the
-        // partition (tasks below never read live state).
-        const std::vector<NodeId> snapshot = part;
+        // Boundary vertices per part. Every candidate is scored against
+        // the partition as the round found it: nothing commits until
+        // all are scored.
         std::vector<std::vector<QubitId>> boundary(
             static_cast<std::size_t>(k));
         for (QubitId v = 0; v < n; ++v) {
-            const NodeId pv = snapshot[static_cast<std::size_t>(v)];
+            const NodeId pv = part[static_cast<std::size_t>(v)];
             for (const auto& [u, w] : g.neighbors(v)) {
                 (void)w;
-                if (snapshot[static_cast<std::size_t>(u)] != pv) {
+                if (part[static_cast<std::size_t>(u)] != pv) {
                     boundary[static_cast<std::size_t>(pv)].push_back(v);
                     break;
                 }
             }
         }
+        if (std::all_of(boundary.begin(), boundary.end(),
+                        [](const auto& b) { return b.empty(); }))
+            break; // no cut edge: nothing to score
 
-        // Independent node-pair tasks: the (p, q) task scores p->q and
-        // q->p moves plus p<->q exchanges over the two boundary lists.
-        // A vertex can be profitable toward q without any direct
-        // q-neighbor (q may simply sit closer, in hop space, to the
-        // vertex's other neighbors), so every boundary vertex of the
-        // pair is scored, not just the pair-crossing ones.
-        std::vector<std::pair<NodeId, NodeId>> pairs;
-        for (NodeId p = 0; p < k; ++p)
-            for (NodeId q = p + 1; q < k; ++q)
-                if (!boundary[static_cast<std::size_t>(p)].empty() ||
-                    !boundary[static_cast<std::size_t>(q)].empty())
-                    pairs.emplace_back(p, q);
-        if (pairs.empty())
-            break;
-
-        std::vector<std::vector<Move>> pair_moves(pairs.size());
-        auto score_pair = [&](std::size_t i) {
-            const auto [p, q] = pairs[i];
-            const std::vector<QubitId>& bp =
-                boundary[static_cast<std::size_t>(p)];
-            const std::vector<QubitId>& bq =
-                boundary[static_cast<std::size_t>(q)];
-            std::vector<Move>& out = pair_moves[i];
-            const double cpq = cost.cost(p, q);
-
-            std::vector<double> gain_pq(bp.size());
-            for (std::size_t ui = 0; ui < bp.size(); ++ui) {
-                gain_pq[ui] = move_gain(g, snapshot, cost, bp[ui], q);
-                if (gain_pq[ui] > kGainEps)
-                    out.push_back({bp[ui], q, kInvalidId, gain_pq[ui]});
-            }
-            std::vector<double> gain_qp(bq.size());
-            for (std::size_t vi = 0; vi < bq.size(); ++vi) {
-                gain_qp[vi] = move_gain(g, snapshot, cost, bq[vi], p);
-                if (gain_qp[vi] > kGainEps)
-                    out.push_back({bq[vi], p, kInvalidId, gain_qp[vi]});
-            }
-            // Exchanges: both one-sided gains are already in hand, so a
-            // swap costs only the direct-edge correction.
-            for (std::size_t ui = 0; ui < bp.size(); ++ui)
-                for (std::size_t vi = 0; vi < bq.size(); ++vi) {
-                    const double sg =
-                        gain_pq[ui] + gain_qp[vi] -
-                        2.0 *
-                            static_cast<double>(
-                                g.weight(bp[ui], bq[vi])) *
-                            cpq;
-                    if (sg > kGainEps)
-                        out.push_back({bp[ui], q, bq[vi], sg});
-                }
-        };
-        if (opts.pool != nullptr && pairs.size() > 1) {
-            support::parallel_for(*opts.pool, pairs.size(), score_pair);
-        } else {
-            for (std::size_t i = 0; i < pairs.size(); ++i)
-                score_pair(i);
-        }
-
+        // Node pairs: the (p, q) step scores p->q and q->p moves plus
+        // p<->q exchanges over the two boundary lists. A vertex can be
+        // profitable toward q without any direct q-neighbor (q may
+        // simply sit closer, in hop space, to the vertex's other
+        // neighbors), so every boundary vertex of the pair is scored,
+        // not just the pair-crossing ones.
         std::vector<Move> candidates;
-        for (const std::vector<Move>& moves : pair_moves)
-            candidates.insert(candidates.end(), moves.begin(),
-                              moves.end());
+        for (NodeId p = 0; p < k; ++p)
+            for (NodeId q = p + 1; q < k; ++q) {
+                const std::vector<QubitId>& bp =
+                    boundary[static_cast<std::size_t>(p)];
+                const std::vector<QubitId>& bq =
+                    boundary[static_cast<std::size_t>(q)];
+                const double cpq = cost.cost(p, q);
+
+                std::vector<double> gain_pq(bp.size());
+                for (std::size_t ui = 0; ui < bp.size(); ++ui) {
+                    gain_pq[ui] = move_gain(g, part, cost, bp[ui], q);
+                    if (gain_pq[ui] > kGainEps)
+                        candidates.push_back(
+                            {bp[ui], q, kInvalidId, gain_pq[ui]});
+                }
+                std::vector<double> gain_qp(bq.size());
+                for (std::size_t vi = 0; vi < bq.size(); ++vi) {
+                    gain_qp[vi] = move_gain(g, part, cost, bq[vi], p);
+                    if (gain_qp[vi] > kGainEps)
+                        candidates.push_back(
+                            {bq[vi], p, kInvalidId, gain_qp[vi]});
+                }
+                // Exchanges: both one-sided gains are already in hand,
+                // so a swap costs only the direct-edge correction.
+                for (std::size_t ui = 0; ui < bp.size(); ++ui)
+                    for (std::size_t vi = 0; vi < bq.size(); ++vi) {
+                        const double sg =
+                            gain_pq[ui] + gain_qp[vi] -
+                            2.0 *
+                                static_cast<double>(
+                                    g.weight(bp[ui], bq[vi])) *
+                                cpq;
+                        if (sg > kGainEps)
+                            candidates.push_back({bp[ui], q, bq[vi], sg});
+                    }
+            }
         std::sort(candidates.begin(), candidates.end(), move_order);
 
-        // Serial application. Earlier commits invalidate later snapshot
-        // gains, so each gain is recomputed against the live partition;
-        // only still-profitable, still-fitting candidates commit — the
+        // Application. Earlier commits invalidate later scored gains,
+        // so each gain is recomputed against the live partition; only
+        // still-profitable, still-fitting candidates commit — the
         // weighted cut strictly decreases with every commit, which is
         // the never-worse guarantee the property tests pin.
         // Decision per candidate: verdict names the outcome (apply, or
-        // the reject cause). The apply loop is serial and the candidate
-        // order is a total order, so these counts are thread-invariant.
+        // the reject cause). The candidate order is a total order, so
+        // these counts are deterministic.
         const auto note_fm = [round](const char* verdict,
                                      const Move& m) {
             obs::decision("multilevel.fm", verdict,

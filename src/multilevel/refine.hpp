@@ -7,16 +7,13 @@
  * to another node — and, for boundary vertex pairs, of exchanging the
  * two (the move that stays feasible when every node is packed full, the
  * default machine shape) — under the topology/fidelity-aware CostModel,
- * then applies the profitable candidates greedily. Evaluation is
- * parallelized across independent boundary node-pairs on a
- * support::ThreadPool: the (p, q) task scores moves and exchanges
- * between nodes p and q against a snapshot of the partition, touching
- * no state any other pair's task reads.
- * Application is serial and deterministic — candidates are merged per
- * vertex, ordered by (gain, vertex id), and each move's gain is
- * recomputed against the live partition before it is committed — so the
- * result is byte-identical across thread counts, and the weighted cut
- * NEVER increases (only strictly-positive recomputed gains commit).
+ * then applies the profitable candidates greedily. Evaluation goes
+ * node pair by node pair: the (p, q) step scores moves and exchanges
+ * between nodes p and q against the partition as the round found it.
+ * Application is deterministic — candidates are ordered by (gain,
+ * vertex id), and each move's gain is recomputed against the live
+ * partition before it is committed — so the weighted cut NEVER
+ * increases (only strictly-positive recomputed gains commit).
  */
 #pragma once
 
@@ -25,17 +22,8 @@
 
 #include "multilevel/cost.hpp"
 #include "partition/interaction_graph.hpp"
-#include "support/threadpool.hpp"
 
 namespace autocomm::multilevel {
-
-/** Knobs for refine(). */
-struct RefineOptions
-{
-    /** Pool for parallel gain evaluation; nullptr runs serially. The
-     * refined partition is identical either way. */
-    support::ThreadPool* pool = nullptr;
-};
 
 /** What one refine() call did: move rounds run and moves applied. */
 struct RefineStats
@@ -55,8 +43,7 @@ struct RefineStats
 RefineStats refine(const partition::InteractionGraph& g,
                    const std::vector<int>& vertex_weight,
                    const std::vector<int>& capacities,
-                   const CostModel& cost, std::vector<NodeId>& part,
-                   const RefineOptions& opts = {});
+                   const CostModel& cost, std::vector<NodeId>& part);
 
 /**
  * Move vertices out of over-capacity nodes, cheapest cut increase

@@ -49,10 +49,10 @@ partition_with(Mapper mapper, const InteractionGraph& g,
     case Mapper::Oee:
         return oee_partition(g, m.capacities(), opts.oee);
     case Mapper::Multilevel:
-        return multilevel::multilevel_partition(g, m, opts.multilevel);
+        return multilevel::multilevel_partition(g, m);
     case Mapper::MultilevelOee:
         return oee_polish(
-            g, multilevel::multilevel_partition(g, m, opts.multilevel),
+            g, multilevel::multilevel_partition(g, m),
             m.num_nodes, opts.polish);
     }
     support::fatal("partition_with: bad mapper %d",

@@ -47,7 +47,6 @@ std::vector<Mapper> all_mappers();
 struct MapperOptions
 {
     OeeOptions oee{};
-    multilevel::MultilevelOptions multilevel{};
     /** The +oee polish budget: a few passes, not a full OEE run. */
     OeeOptions polish{/*max_passes=*/4};
 };

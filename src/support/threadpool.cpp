@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "support/log.hpp"
@@ -9,20 +10,12 @@
 namespace autocomm::support {
 
 namespace {
-thread_local bool tls_pool_worker = false;
-
 /** Live pools, for the process-wide total_* snapshots. Lock order:
  * registry mutex before any pool's own mutex (total_queue_depth);
  * nothing ever takes them the other way around. */
 std::mutex g_pools_mu;
 std::vector<ThreadPool*> g_pools;
 } // namespace
-
-bool
-ThreadPool::on_worker_thread()
-{
-    return tls_pool_worker;
-}
 
 std::size_t
 ThreadPool::total_queue_depth()
@@ -61,14 +54,13 @@ default_thread_count()
 {
     // Capped so a fat-fingered value degrades to "a lot of threads"
     // instead of thread-creation failure mid-constructor.
-    constexpr long max_threads = 1024;
     if (const char* v = std::getenv("AUTOCOMM_THREADS")) {
         char* end = nullptr;
         const long n = std::strtol(v, &end, 10);
         if (end != v && *end == '\0' && n > 0) {
-            if (n > max_threads) {
-                warn("capping AUTOCOMM_THREADS=%ld to %ld", n, max_threads);
-                return static_cast<std::size_t>(max_threads);
+            if (static_cast<unsigned long>(n) > kMaxThreads) {
+                warn("capping AUTOCOMM_THREADS=%ld to %zu", n, kMaxThreads);
+                return kMaxThreads;
             }
             return static_cast<std::size_t>(n);
         }
@@ -94,7 +86,7 @@ ThreadPool::ThreadPool(std::size_t num_threads)
             std::lock_guard<std::mutex> lock(mutex_);
             stopping_ = true;
         }
-        cv_.notify_all();
+        work_cv_.notify_all();
         for (std::thread& w : workers_)
             w.join();
         throw;
@@ -115,27 +107,50 @@ ThreadPool::~ThreadPool()
         std::lock_guard<std::mutex> lock(mutex_);
         stopping_ = true;
     }
-    cv_.notify_all();
+    work_cv_.notify_all();
     for (std::thread& w : workers_)
         w.join();
+    if (!error_)
+        return;
+    try {
+        std::rethrow_exception(error_);
+    } catch (const std::exception& e) {
+        warn("ThreadPool: a job's exception was never waited for: %s",
+             e.what());
+    } catch (...) {
+        warn("ThreadPool: a job's exception was never waited for");
+    }
 }
 
 void
-ThreadPool::enqueue(std::function<void()> job)
+ThreadPool::submit(std::function<void()> job)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (stopping_)
             fatal("ThreadPool::submit on a stopped pool");
         jobs_.push_back(std::move(job));
+        ++unfinished_;
     }
-    cv_.notify_one();
+    work_cv_.notify_one();
+}
+
+void
+ThreadPool::wait()
+{
+    std::exception_ptr error;
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        idle_cv_.wait(lock, [this]() { return unfinished_ == 0; });
+        error = std::exchange(error_, nullptr);
+    }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 void
 ThreadPool::worker_loop(std::size_t idx)
 {
-    tls_pool_worker = true;
     // Register the lane name up front (not lazily on first span) so the
     // trace shows every pool worker, including ones that stayed idle.
     obs::set_lane_name(strprintf("worker-%zu", idx));
@@ -143,51 +158,28 @@ ThreadPool::worker_loop(std::size_t idx)
         std::function<void()> job;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            cv_.wait(lock, [this]() { return stopping_ || !jobs_.empty(); });
+            work_cv_.wait(lock,
+                          [this]() { return stopping_ || !jobs_.empty(); });
             if (jobs_.empty())
                 return; // stopping_ and drained
             job = std::move(jobs_.back());
             jobs_.pop_back();
         }
         active_.fetch_add(1, std::memory_order_relaxed);
-        job(); // packaged_task: exceptions land in the job's future
-        active_.fetch_sub(1, std::memory_order_relaxed);
-    }
-}
-
-void
-parallel_for(ThreadPool& pool, std::size_t n,
-             const std::function<void(std::size_t)>& fn)
-{
-    // Nested use (a pool task spawning a parallel section on its own
-    // pool) must not block a worker on futures only other workers can
-    // drain — with every worker waiting, the queue would never move.
-    // Run inline instead; iteration order then matches the rethrow
-    // contract trivially.
-    if (n <= 1 || pool.size() <= 1 || ThreadPool::on_worker_thread()) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-
-    std::vector<std::future<void>> futures;
-    futures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        futures.push_back(pool.submit([&fn, i]() { fn(i); }));
-
-    // Wait for everything before rethrowing: fn is borrowed by reference,
-    // so no task may outlive this frame.
-    std::exception_ptr first;
-    for (std::future<void>& f : futures) {
+        std::exception_ptr error;
         try {
-            f.get();
+            job();
         } catch (...) {
-            if (!first)
-                first = std::current_exception();
+            error = std::current_exception();
         }
+        job = nullptr; // release the job's captures before it counts done
+        active_.fetch_sub(1, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (error && !error_)
+            error_ = std::move(error);
+        if (--unfinished_ == 0)
+            idle_cv_.notify_all();
     }
-    if (first)
-        std::rethrow_exception(first);
 }
 
 } // namespace autocomm::support

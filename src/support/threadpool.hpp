@@ -1,8 +1,9 @@
 /**
  * @file
  * A fixed-size worker pool for CPU-bound compilation jobs. Jobs are
- * submitted as callables and their results (or exceptions) come back
- * through std::future, so a worker throwing never takes down the pool.
+ * plain void() callables; wait() blocks until every job has run, the
+ * ones jobs submitted included, and rethrows the first exception a job
+ * let escape, so a worker throwing never takes down the pool.
  *
  * This is deliberately a plain pool with one shared queue (no work
  * stealing): sweep jobs are coarse-grained, so the queue is never the
@@ -15,24 +16,27 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace autocomm::support {
 
+/** Most worker threads a pool may be asked for, by AUTOCOMM_THREADS or
+ * a --threads flag: more is a typo, not a machine. */
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /**
- * Thread count from the AUTOCOMM_THREADS environment variable, falling
- * back to std::thread::hardware_concurrency() (at least 1).
+ * Thread count from the AUTOCOMM_THREADS environment variable (capped at
+ * kMaxThreads), falling back to std::thread::hardware_concurrency() (at
+ * least 1).
  */
 std::size_t default_thread_count();
 
 /**
  * Fixed-size thread pool that runs the newest queued job first (a LIFO
- * stack, not a FIFO queue). Destruction drains pending jobs.
+ * stack, not a FIFO queue). Destruction drains pending jobs and warns
+ * about an exception no wait() collected.
  *
  * Newest-first is what bounds driver::run_sweep's memory: each stage
  * submits its successors as it finishes, so a worker goes on with the
@@ -53,17 +57,6 @@ class ThreadPool
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    /** Number of worker threads. */
-    std::size_t size() const { return workers_.size(); }
-
-    /**
-     * True when the calling thread is a worker of any ThreadPool. A
-     * worker that blocks on futures served by its own queue can deadlock
-     * the pool once every worker does it; parallel_for consults this and
-     * runs nested parallel sections inline instead.
-     */
-    static bool on_worker_thread();
-
     /**
      * Process-wide utilization figures summed over every live pool —
      * the obs::ResourceSampler's feed, decoupled from pool lifetime
@@ -75,41 +68,38 @@ class ThreadPool
     static std::size_t total_active_workers();
     static std::size_t total_workers();
 
+    /** Queue @p job; it runs before every job queued earlier. A job may
+     * submit further jobs. */
+    void submit(std::function<void()> job);
+
     /**
-     * Enqueue @p f for execution. The returned future yields f's result;
-     * an exception thrown by f is rethrown from future::get().
+     * Block until no job is queued or running, jobs submitted by jobs
+     * included, then rethrow the first exception a job let escape since
+     * the last wait() (later ones are dropped). Call it from outside the
+     * pool: a job that waits on its own pool never sees it go idle.
      */
-    template <typename F>
-    std::future<std::invoke_result_t<F>> submit(F&& f)
-    {
-        using R = std::invoke_result_t<F>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(f));
-        std::future<R> fut = task->get_future();
-        enqueue([task]() { (*task)(); });
-        return fut;
-    }
+    void wait();
 
   private:
-    void enqueue(std::function<void()> job);
     void worker_loop(std::size_t idx);
 
-    std::vector<std::thread> workers_;
     /** Pending jobs; the back is the newest and runs first. */
     std::vector<std::function<void()>> jobs_;
     std::mutex mutex_;
-    std::condition_variable cv_;
+    /** Wakes workers: a job was queued, or the pool is stopping. */
+    std::condition_variable work_cv_;
+    /** Wakes wait(): unfinished_ reached zero. */
+    std::condition_variable idle_cv_;
+    /** Jobs queued or running. A job's own submits are counted before
+     * the job is uncounted, so this reaches zero only when all are done. */
+    std::size_t unfinished_ = 0;
+    /** The first exception a job let escape, until wait() takes it. */
+    std::exception_ptr error_;
     bool stopping_ = false;
     /** Workers currently executing a job (total_active_workers). */
     std::atomic<std::size_t> active_{0};
+    /** Declared last: the workers use every member above. */
+    std::vector<std::thread> workers_;
 };
-
-/**
- * Run fn(0) .. fn(n-1) on @p pool and block until all complete. Iterations
- * run concurrently; if any throw, every iteration still finishes and then
- * the exception of the lowest-index failing iteration is rethrown.
- */
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn);
 
 } // namespace autocomm::support

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "support/log.hpp"
+#include "support/threadpool.hpp"
 
 namespace {
 
@@ -803,13 +805,46 @@ TEST(SweepParse, ShardSpecValidatesIndexAndCount)
     EXPECT_EQ(s.count, 4);
     EXPECT_EQ(driver::parse_shard("0/1", "--shard").count, 1);
 
+    // Counts past INT_MAX must not wrap when narrowed to int:
+    // 4294967298 would become 2, making "0/4294967298" shard 0/2 and
+    // "2/4294967298" an invalid 2/2.
     for (const char* bad :
-         {"0/0", "3/2", "2/2", "-1/2", "banana", "1", "1/", "/2", "1/b"}) {
+         {"0/0", "3/2", "2/2", "-1/2", "banana", "1", "1/", "/2", "1/b",
+          "0/4294967298", "2/4294967298", "0/2147483648"}) {
         try {
             driver::parse_shard(bad, "--shard");
             FAIL() << "expected UserError for \"" << bad << "\"";
         } catch (const support::UserError& e) {
             EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+                << bad << " -> " << e.what();
+            EXPECT_NE(std::string(e.what()).find("--shard"),
+                      std::string::npos)
+                << bad << " -> " << e.what();
+        }
+    }
+    EXPECT_EQ(driver::parse_shard("0/2147483647", "--shard").count,
+              INT_MAX);
+}
+
+TEST(SweepParse, ThreadCountIsBoundedByKMaxThreads)
+{
+    // Parsed only: no pool is built, so no test starts kMaxThreads
+    // threads.
+    EXPECT_EQ(driver::parse_threads("1", "--threads"), 1u);
+    EXPECT_EQ(driver::parse_threads("1024", "--threads"),
+              support::kMaxThreads);
+    for (const char* bad : {"0", "1025", "-1", "1000000", "4,8", "", "x",
+                            "99999999999999999999"}) {
+        try {
+            driver::parse_threads(bad, "--threads");
+            FAIL() << "expected UserError for \"" << bad << "\"";
+        } catch (const support::UserError& e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("\"") + bad +
+                                                 "\""),
+                      std::string::npos)
+                << bad << " -> " << e.what();
+            EXPECT_NE(std::string(e.what()).find("--threads"),
+                      std::string::npos)
                 << bad << " -> " << e.what();
         }
     }

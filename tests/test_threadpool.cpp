@@ -1,18 +1,20 @@
 /**
  * @file
- * Property tests for support::ThreadPool: results and exceptions travel
- * through futures, queued jobs run newest first, parallel_for covers
- * every index exactly once under any thread count, and worker exceptions
- * propagate to the caller.
+ * Property tests for support::ThreadPool: every submitted job runs
+ * exactly once under any thread count, queued jobs run newest first,
+ * wait() covers jobs that jobs submitted, and an exception a job lets
+ * escape is rethrown by the next wait() and only by it.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <future>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "support/log.hpp"
@@ -23,42 +25,24 @@ namespace {
 using namespace autocomm;
 using support::ThreadPool;
 
-TEST(ThreadPool, SubmitReturnsValueThroughFuture)
+TEST(ThreadPool, ManyJobsAllRunExactlyOnce)
 {
-    ThreadPool pool(2);
-    EXPECT_EQ(pool.size(), 2u);
-    auto f = pool.submit([]() { return 6 * 7; });
-    EXPECT_EQ(f.get(), 42);
+    for (std::size_t threads : {1u, 2u, 4u}) {
+        ThreadPool pool(threads);
+        std::vector<std::atomic<int>> hits(257);
+        for (std::size_t i = 0; i < hits.size(); ++i)
+            pool.submit([&hits, i]() { ++hits[i]; });
+        pool.wait();
+        for (std::size_t i = 0; i < hits.size(); ++i)
+            EXPECT_EQ(hits[i].load(), 1)
+                << "job " << i << ", " << threads << " threads";
+    }
 }
 
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture)
+TEST(ThreadPool, WaitOnAnIdlePoolReturnsAtOnce)
 {
     ThreadPool pool(2);
-    auto f = pool.submit([]() -> int {
-        throw std::runtime_error("worker boom");
-    });
-    EXPECT_THROW(
-        {
-            try {
-                f.get();
-            } catch (const std::runtime_error& e) {
-                EXPECT_STREQ(e.what(), "worker boom");
-                throw;
-            }
-        },
-        std::runtime_error);
-}
-
-TEST(ThreadPool, ManyJobsAllRunOnSingleThread)
-{
-    ThreadPool pool(1);
-    std::atomic<int> count{0};
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 100; ++i)
-        futures.push_back(pool.submit([&count]() { ++count; }));
-    for (auto& f : futures)
-        f.get();
-    EXPECT_EQ(count.load(), 100);
+    pool.wait();
 }
 
 TEST(ThreadPool, NewestQueuedJobRunsFirst)
@@ -67,72 +51,96 @@ TEST(ThreadPool, NewestQueuedJobRunsFirst)
     // run before older queued work.
     ThreadPool pool(1);
     std::promise<void> started, unblock;
-    auto busy = pool.submit([&]() {
+    std::shared_future<void> released = unblock.get_future().share();
+    pool.submit([&started, released]() {
         started.set_value();
-        unblock.get_future().wait();
+        released.wait();
     });
     started.get_future().wait(); // the only worker is now held busy
     std::mutex mu;
     std::string order;
-    auto a = pool.submit([&]() {
+    pool.submit([&]() {
         std::lock_guard<std::mutex> lock(mu);
         order += 'A';
     });
-    auto b = pool.submit([&]() {
+    pool.submit([&]() {
         std::lock_guard<std::mutex> lock(mu);
         order += 'B';
     });
     unblock.set_value();
-    busy.get();
-    a.get();
-    b.get();
+    pool.wait();
     EXPECT_EQ(order, "BA");
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce)
+TEST(ThreadPool, WaitCoversJobsSubmittedByJobs)
 {
-    for (std::size_t threads : {1u, 2u, 4u}) {
+    // A 3-level chain: each job submits the next one and returns at once,
+    // and the leaf is slow. wait() must not return when the top-level
+    // job is done, only when the leaf is.
+    for (std::size_t threads : {1u, 4u}) {
         ThreadPool pool(threads);
-        std::vector<std::atomic<int>> hits(257);
-        support::parallel_for(pool, hits.size(),
-                              [&](std::size_t i) { ++hits[i]; });
-        for (std::size_t i = 0; i < hits.size(); ++i)
-            EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+        std::atomic<int> leaves{0};
+        for (int chain = 0; chain < 4; ++chain)
+            pool.submit([&pool, &leaves]() {
+                pool.submit([&pool, &leaves]() {
+                    pool.submit([&leaves]() {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(20));
+                        ++leaves;
+                    });
+                });
+            });
+        pool.wait();
+        EXPECT_EQ(leaves.load(), 4) << threads << " threads";
     }
 }
 
-TEST(ThreadPool, ParallelForZeroIterationsIsANoop)
+TEST(ThreadPool, WaitRethrowsAnEscapedExceptionOnce)
 {
     ThreadPool pool(2);
-    support::parallel_for(pool, 0, [](std::size_t) { FAIL(); });
-}
-
-TEST(ThreadPool, ParallelForRethrowsLowestIndexFailure)
-{
-    ThreadPool pool(4);
     std::atomic<int> ran{0};
-    try {
-        support::parallel_for(pool, 64, [&](std::size_t i) {
+    for (int i = 0; i < 16; ++i)
+        pool.submit([&ran, i]() {
             ++ran;
-            if (i == 7 || i == 31)
-                throw std::runtime_error("iteration " + std::to_string(i));
+            if (i == 5)
+                throw std::runtime_error("worker boom");
         });
-        FAIL() << "expected parallel_for to rethrow";
+    try {
+        pool.wait();
+        FAIL() << "expected wait() to rethrow";
     } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "iteration 7");
+        EXPECT_STREQ(e.what(), "worker boom");
     }
-    // Failing iterations must not cancel the rest.
-    EXPECT_EQ(ran.load(), 64);
+    // A failing job cancels nothing, and the pool stays usable.
+    EXPECT_EQ(ran.load(), 16);
+
+    // The exception was handed over: a later wait() with no failing job
+    // returns normally.
+    pool.submit([&ran]() { ++ran; });
+    pool.wait();
+    EXPECT_EQ(ran.load(), 17);
 }
 
 TEST(ThreadPool, DefaultThreadCountHonorsEnvVariable)
 {
     ::setenv("AUTOCOMM_THREADS", "3", 1);
     EXPECT_EQ(support::default_thread_count(), 3u);
+    ::setenv("AUTOCOMM_THREADS", "100000", 1);
+    EXPECT_EQ(support::default_thread_count(), support::kMaxThreads);
     ::setenv("AUTOCOMM_THREADS", "not-a-number", 1);
     EXPECT_GE(support::default_thread_count(), 1u);
     ::unsetenv("AUTOCOMM_THREADS");
     EXPECT_GE(support::default_thread_count(), 1u);
+
+    // The pool itself honors it: three worker lanes while it lives.
+    ::setenv("AUTOCOMM_THREADS", "3", 1);
+    const std::size_t before = ThreadPool::total_workers();
+    {
+        ThreadPool pool;
+        EXPECT_EQ(ThreadPool::total_workers(), before + 3);
+    }
+    EXPECT_EQ(ThreadPool::total_workers(), before);
+    ::unsetenv("AUTOCOMM_THREADS");
 }
 
 } // namespace
